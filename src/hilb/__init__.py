@@ -38,11 +38,13 @@ from .equivariant import (
     NonGenericError,
     PoincarePoly,
     cell_dimension,
+    cell_tables,
     default_rho,
     fixed_points_p2,
     format_poly,
     generic_rho,
     poincare_affine,
+    poincare_from_tables,
     poincare_p2,
     poincare_punctual,
     punctual_cell_dims,
@@ -121,11 +123,13 @@ __all__ = [
     "NonGenericError",
     "PoincarePoly",
     "cell_dimension",
+    "cell_tables",
     "default_rho",
     "fixed_points_p2",
     "format_poly",
     "generic_rho",
     "poincare_affine",
+    "poincare_from_tables",
     "poincare_p2",
     "poincare_punctual",
     "punctual_cell_dims",

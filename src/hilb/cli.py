@@ -22,15 +22,12 @@ import sys
 
 from . import __version__
 from .equivariant import (
-    AFFINE_CHART,
     CharVector,
     NonGenericError,
-    generic_rho,
-    fixed_points_p2,
-    poincare_affine,
+    cell_tables,
+    poincare_from_tables,
     poincare_p2,
     poincare_punctual,
-    tangent_weights,
 )
 from .errors import ConsistencyError
 from .heisenberg import SurfaceModel, goettsche_series, p2_surface
@@ -105,19 +102,10 @@ def cmd_betti(args) -> tuple[dict, dict, int]:
             raise ValueError("--rho does not apply to the punctual locus")
         poly = poincare_punctual(n)
     else:
-        if args.space == "affine":
-            weight_lists = [
-                tangent_weights(lam, *AFFINE_CHART) for lam in enumerate_partitions(n)
-            ]
-        else:
-            weight_lists = [pt.weights() for pt in fixed_points_p2(n)]
-        rho = _parse_rho(args.rho) if args.rho is not None else generic_rho(
-            weight_lists, n
-        )
+        rho = _parse_rho(args.rho) if args.rho is not None else None
+        rho, tables = cell_tables(args.space, n, rho)
         params["rho"] = [rho.a, rho.b]
-        poly = (
-            poincare_affine(n, rho) if args.space == "affine" else poincare_p2(n, rho)
-        )
+        poly = poincare_from_tables(tables, n)
     rows = [[d, poly.coeffs[d]] for d in sorted(poly.coeffs)]
     payload = {
         "series": str(poly),

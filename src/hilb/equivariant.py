@@ -49,12 +49,16 @@ def tangent_weights(lam, u: CharVector, v: CharVector) -> list[CharVector]:
     u, v = CharVector(*u), CharVector(*v)
     if u.a * v.b - u.b * v.a == 0:
         raise ValueError(f"degenerate chart: characters {u} and {v} are dependent")
+    ua, ub = u
+    va, vb = v
+    cols = lam.column_lengths()
     out = []
-    for box in lam.boxes():
-        a = lam.arm(box)
-        l = lam.leg(box)
-        out.append(CharVector((a + 1) * u.a - l * v.a, (a + 1) * u.b - l * v.b))
-        out.append(CharVector(-a * u.a + (l + 1) * v.a, -a * u.b + (l + 1) * v.b))
+    for r, p in enumerate(lam.parts):
+        for c in range(p):
+            a = p - c - 1  # arm
+            l = cols[c] - r - 1  # leg, read off the conjugate
+            out.append(CharVector((a + 1) * ua - l * va, (a + 1) * ub - l * vb))
+            out.append(CharVector(-a * ua + (l + 1) * va, -a * ub + (l + 1) * vb))
     return out
 
 
@@ -157,17 +161,80 @@ def default_rho(n: int) -> CharVector:
 
 def generic_rho(weight_lists: list[list[CharVector]], n: int) -> CharVector:
     """Deterministic search (1, K), (1, K+1), ... for a wall-free subgroup."""
+    weights = {w for ws in weight_lists for w in ws}
     k = 2 * n * n + 1
     while True:
         rho = CharVector(1, k)
-        if all(
-            rho.a * w.a + rho.b * w.b != 0 for ws in weight_lists for w in ws
-        ):
+        if all(rho.a * w.a + rho.b * w.b != 0 for w in weights):
             return rho
         logger.warning(
             "rho=(1,%d) hit a wall at n=%d, retrying with (1,%d)", k, n, k + 1
         )
         k += 1
+
+
+# A cell table maps a chart size s to {cell dimension: number of
+# partitions of s with that dimension} in that chart.
+CellTable = dict[int, dict[int, int]]
+
+
+def cell_tables(
+    space: str, n: int, rho: Optional[CharVector] = None
+) -> tuple[CharVector, list[CellTable]]:
+    """The subgroup used and one cell table per chart of a Hilbert scheme.
+
+    space "affine" has the single chart of the plane at size n; "p2" has
+    the three charts of the projective plane at every size n..0, since a
+    fixed point spreads n points over them. The tangent weights of each
+    (chart, partition) are computed once: with rho omitted they choose a
+    wall-free subgroup by generic_rho over exactly the weights of all
+    fixed points, and an explicit rho on a wall raises NonGenericError.
+    """
+    if n < 0:
+        raise ValueError(f"negative length: {n}")
+    if space == "affine":
+        charts, sizes = (AFFINE_CHART,), (n,)
+    elif space == "p2":
+        charts, sizes = P2_CHART_WEIGHTS, range(n, -1, -1)
+    else:
+        raise ValueError(f"no cell tables for space {space!r}")
+    weights = [
+        {s: [tangent_weights(lam, u, v) for lam in enumerate_partitions(s)] for s in sizes}
+        for u, v in charts
+    ]
+    if rho is None:
+        rho = generic_rho([ws for chart in weights for wl in chart.values() for ws in wl], n)
+    tables = []
+    for chart in weights:
+        table: CellTable = {}
+        for s, wl in chart.items():
+            counts = table[s] = {}
+            for ws in wl:
+                d = cell_dimension(ws, rho)
+                counts[d] = counts.get(d, 0) + 1
+        tables.append(table)
+    return rho, tables
+
+
+def poincare_from_tables(tables: list[CellTable], n: int) -> PoincarePoly:
+    """Poincare polynomial of the fixed points whose chart sizes sum to n.
+
+    A fixed point's cell dimension is the sum of its charts' dimensions,
+    so the cell counts are the convolution of the per-chart tables.
+    """
+    acc: CellTable = {0: {0: 1}}
+    for table in tables:
+        nxt: CellTable = {}
+        for s1, dims1 in acc.items():
+            for s2, dims2 in table.items():
+                if s1 + s2 > n:
+                    continue
+                out = nxt.setdefault(s1 + s2, {})
+                for d1, c1 in dims1.items():
+                    for d2, c2 in dims2.items():
+                        out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
+        acc = nxt
+    return PoincarePoly({2 * d: c for d, c in acc.get(n, {}).items()})
 
 
 def poincare_affine(n: int, rho: Optional[CharVector] = None) -> PoincarePoly:
@@ -176,13 +243,7 @@ def poincare_affine(n: int, rho: Optional[CharVector] = None) -> PoincarePoly:
     With rho omitted a verified-generic subgroup is chosen automatically;
     an explicit non-generic rho raises NonGenericError.
     """
-    if n < 0:
-        raise ValueError(f"negative length: {n}")
-    u, v = AFFINE_CHART
-    wlists = [tangent_weights(lam, u, v) for lam in enumerate_partitions(n)]
-    if rho is None:
-        rho = generic_rho(wlists, n)
-    return PoincarePoly.from_cell_dims(cell_dimension(ws, rho) for ws in wlists)
+    return poincare_from_tables(cell_tables("affine", n, rho)[1], n)
 
 
 @dataclass(frozen=True)
@@ -229,12 +290,12 @@ def fixed_points_p2(n: int) -> list[ChartTuple]:
 
 
 def poincare_p2(n: int, rho: Optional[CharVector] = None) -> PoincarePoly:
-    """Poincare polynomial of the Hilbert scheme of n points on P^2."""
-    pts = fixed_points_p2(n)
-    wlists = [pt.weights() for pt in pts]
-    if rho is None:
-        rho = generic_rho(wlists, n)
-    return PoincarePoly.from_cell_dims(cell_dimension(ws, rho) for ws in wlists)
+    """Poincare polynomial of the Hilbert scheme of n points on P^2.
+
+    Equal to summing q^(2 dim) over fixed_points_p2(n), computed as a
+    convolution of per-chart cell tables instead.
+    """
+    return poincare_from_tables(cell_tables("p2", n, rho)[1], n)
 
 
 def punctual_cell_dims(n: int) -> list[int]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Optional
 
 from .equivariant import format_poly
@@ -42,7 +43,7 @@ class SurfaceModel:
     complementary-degree blocks are the only nonzero ones.
     """
 
-    __slots__ = ("betti", "basis", "_pairing")
+    __slots__ = ("betti", "basis", "_degrees", "_pairing")
 
     def __init__(
         self,
@@ -83,6 +84,7 @@ class SurfaceModel:
 
         self.betti = betti
         self.basis = (("1", 0),) + tuple((lbl, 2) for lbl in h2_labels) + (("pt", 4),)
+        self._degrees = dict(self.basis)
         pairing = {("1", "pt"): 1, ("pt", "1"): 1}
         for i, a in enumerate(h2_labels):
             for j, b in enumerate(h2_labels):
@@ -94,10 +96,10 @@ class SurfaceModel:
         return tuple(name for name, _ in self.basis)
 
     def degree(self, label: str) -> int:
-        for name, d in self.basis:
-            if name == label:
-                return d
-        raise ValueError(f"no cohomology class named {label!r}")
+        try:
+            return self._degrees[label]
+        except (KeyError, TypeError):
+            raise ValueError(f"no cohomology class named {label!r}") from None
 
     def pair(self, a: str, b: str) -> int:
         self.degree(a)
@@ -174,17 +176,6 @@ class GradedSeries:
     def __repr__(self) -> str:
         return f"GradedSeries(truncation={self.truncation}, terms={len(self.coeffs)})"
 
-    def _times_geometric(self, dt: int, du: int) -> "GradedSeries":
-        """Multiply by 1/(1 - t^dt u^du) as a truncated geometric series."""
-        out = dict(self.coeffs)
-        for (n, m), c in self.coeffs.items():
-            j = 1
-            while n + j * dt <= self.truncation:
-                key = (n + j * dt, m + j * du)
-                out[key] = out.get(key, 0) + c
-                j += 1
-        return GradedSeries(self.truncation, out)
-
     def _times_negative_binomial(self, dt: int, du: int, b: int) -> "GradedSeries":
         """Multiply by 1/(1 - t^dt u^du)^b via negative-binomial coefficients."""
         out: dict[tuple[int, int], int] = {}
@@ -217,12 +208,24 @@ def fock_character(surface: SurfaceModel, truncation: int) -> GradedSeries:
 
     One plain geometric factor per generator a_{-m}(gamma); must agree
     with goettsche_series coefficient by coefficient.
+
+    rows[n][h] holds the coefficient of t^n u^(2h). Multiplying by
+    1/(1 - t^m u^(2k)) is the in-place recurrence
+    rows[n][h] += rows[n - m][h - k] over ascending n, since row n - m
+    already carries the factor when row n reads it.
     """
-    series = GradedSeries.one(truncation)
+    rows = [[0] * (2 * n + 1) for n in range(truncation + 1)]
+    rows[0][0] = 1
     for m in range(1, truncation + 1):
         for _, d in surface.basis:
-            series = series._times_geometric(m, 2 * m - 2 + d)
-    return series
+            k = m - 1 + d // 2
+            for n in range(m, truncation + 1):
+                src, dst = rows[n - m], rows[n]
+                dst[k : k + len(src)] = map(add, dst[k : k + len(src)], src)
+    return GradedSeries(
+        truncation,
+        {(n, 2 * h): c for n, row in enumerate(rows) for h, c in enumerate(row)},
+    )
 
 
 # A Fock monomial is a sorted tuple of (level, class-label) factors; the

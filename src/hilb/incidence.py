@@ -158,15 +158,17 @@ def strata_propagate(t: StrataBoundTable) -> StrataBoundTable:
     if not isinstance(t, StrataBoundTable):
         raise ValueError(f"malformed table: {t!r}")
     n = t.n
+    top = t.max_index
+    # score[j] = bound(j, n) + (j - 1), or -1 for an empty stratum; every
+    # real score is non-negative, so a window maximum of -1 means no source.
+    score = [-1] * (top + 3)
+    for j, b in t.bounds.items():
+        score[j] = b + j - 1
     new = {1: 2 * (n + 1) + 2}
-    for i in range(2, t.max_index + 2):
-        sources = [
-            t.bound(j) + (j - 1)
-            for j in (i - 1, i, i + 1)
-            if j >= 1 and t.bound(j) is not None
-        ]
-        if sources:
-            new[i] = max(sources) - (i - 2)
+    windows = map(max, score[1 : top + 1], score[2 : top + 2], score[3 : top + 3])
+    for i, best in enumerate(windows, start=2):
+        if best >= 0:
+            new[i] = best - (i - 2)
     return StrataBoundTable(n + 1, new)
 
 

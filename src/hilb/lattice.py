@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import ConsistencyError
 
@@ -46,28 +46,89 @@ class DivisorClass:
         return DivisorClass(tuple(k * a for a in self.coords))
 
 
-@dataclass(frozen=True)
 class IntersectionLattice:
-    """Free abelian group with a symmetric integer pairing and named basis."""
+    """Free abelian group with a symmetric integer pairing and named basis.
 
-    gram: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
+    The pairing is stored sparsely, as a {column: value} dict of the
+    nonzero entries of each row that has any; `gram` is the dense view.
+    Instances are immutable.
+    """
 
-    def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        r = len(self.labels)
+    __slots__ = ("labels", "_rows")
+
+    def __init__(self, gram, labels):
+        gram = tuple(tuple(int(x) for x in row) for row in gram)
+        labels = tuple(labels)
+        r = len(labels)
         if len(gram) != r or any(len(row) != r for row in gram):
             raise ValueError(f"gram matrix must be {r} x {r}")
-        for i in range(r):
-            for j in range(r):
-                if gram[i][j] != gram[j][i]:
+        self._set(
+            {(i, j): x for i, row in enumerate(gram) for j, x in enumerate(row) if x},
+            labels,
+        )
+
+    @classmethod
+    def from_entries(
+        cls, entries: Mapping[tuple[int, int], int], labels
+    ) -> "IntersectionLattice":
+        """Lattice from its nonzero Gram entries {(i, j): value}, in O(entries)."""
+        lattice = cls.__new__(cls)
+        lattice._set(entries, labels)
+        return lattice
+
+    def _set(self, entries: Mapping[tuple[int, int], int], labels) -> None:
+        """Store the entries after the integrality, range and symmetry checks."""
+        labels = tuple(labels)
+        r = len(labels)
+        rows: dict[int, dict[int, int]] = {}
+        for (i, j), x in entries.items():
+            if not (0 <= i < r and 0 <= j < r):
+                raise ValueError(f"gram entry ({i}, {j}) outside a {r} x {r} matrix")
+            x = int(x)
+            if x:
+                rows.setdefault(i, {})[j] = x
+        for i, row in rows.items():
+            for j, x in row.items():
+                if rows.get(j, {}).get(i) != x:
                     raise ValueError(f"gram matrix not symmetric at ({i}, {j})")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (IntersectionLattice.from_entries, (self.entries(), self.labels))
 
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The dense Gram matrix, built on each access."""
+        empty: dict[int, int] = {}
+        return tuple(
+            tuple(self._rows.get(i, empty).get(j, 0) for j in range(self.rank))
+            for i in range(self.rank)
+        )
+
+    def entries(self) -> dict[tuple[int, int], int]:
+        """The nonzero Gram entries as {(i, j): value}."""
+        return {(i, j): x for i, row in self._rows.items() for j, x in row.items()}
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, IntersectionLattice)
+            and self.labels == other.labels
+            and self._rows == other._rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.labels, frozenset(self.entries().items())))
+
+    def __repr__(self) -> str:
+        return f"IntersectionLattice(gram={self.gram!r}, labels={self.labels!r})"
 
     def cls(self, label: str) -> DivisorClass:
         """Basis class by name."""
@@ -77,16 +138,22 @@ class IntersectionLattice:
         return DivisorClass(tuple(1 if j == i else 0 for j in range(self.rank)))
 
     def pair(self, d1: DivisorClass, d2: DivisorClass) -> int:
-        if len(d1.coords) != self.rank or len(d2.coords) != self.rank:
+        """Intersection number, summed over the stored entries only."""
+        c1, c2 = d1.coords, d2.coords
+        if len(c1) != self.rank or len(c2) != self.rank:
             raise ValueError(
                 f"coordinate length mismatch: lattice rank {self.rank}, "
-                f"classes of length {len(d1.coords)} and {len(d2.coords)}"
+                f"classes of length {len(c1)} and {len(c2)}"
             )
-        return sum(
-            d1.coords[i] * self.gram[i][j] * d2.coords[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        total = 0
+        for i, row in self._rows.items():
+            a = c1[i]
+            if a:
+                for j, x in row.items():
+                    b = c2[j]
+                    if b:
+                        total += a * x * b
+        return total
 
 
 def p2_lattice() -> IntersectionLattice:
@@ -114,13 +181,10 @@ def blow_up(L: IntersectionLattice, k: int) -> IntersectionLattice:
     r = L.rank
     start = sum(1 for lbl in L.labels if lbl.startswith("E")) + 1
     labels = L.labels + tuple(f"E{start + i}" for i in range(k))
-    gram = [[0] * (r + k) for _ in range(r + k)]
-    for i in range(r):
-        for j in range(r):
-            gram[i][j] = L.gram[i][j]
-    for i in range(k):
-        gram[r + i][r + i] = -1
-    return IntersectionLattice(tuple(tuple(row) for row in gram), labels)
+    entries = L.entries()
+    for i in range(r, r + k):
+        entries[(i, i)] = -1
+    return IntersectionLattice.from_entries(entries, labels)
 
 
 def exceptional_total_square(n: int, base: Optional[IntersectionLattice] = None) -> int:

@@ -79,9 +79,14 @@ class StaircaseIdeal:
         return [Monomial(b.col, b.row) for b in self.shape.boxes()]
 
     def socle(self) -> list[Monomial]:
-        """Quotient monomials killed by both x and y."""
+        """Quotient monomials killed by both x and y, row-major.
+
+        Only the last box of a row can be killed by x, so those are the
+        only candidates; each is still tested against the ideal both ways.
+        """
         out = []
-        for m in self.quotient_basis():
+        for row, part in enumerate(self.shape.parts):
+            m = Monomial(part - 1, row)
             if self.contains(Monomial(m.xexp + 1, m.yexp)) and self.contains(
                 Monomial(m.xexp, m.yexp + 1)
             ):

@@ -33,12 +33,15 @@ class Partition:
     __slots__ = ("parts", "size")
 
     def __init__(self, parts: Iterable[int] = ()):
-        pts = tuple(int(p) for p in parts)
-        for i, p in enumerate(pts):
-            if p <= 0:
-                raise ValueError(f"parts must be positive integers, got {p}")
-            if i > 0 and pts[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing, got {pts}")
+        pts = tuple(map(int, parts))
+        # A weakly decreasing tuple whose last part is positive is valid;
+        # anything else goes through the part-by-part scan for its error.
+        if pts and (pts[-1] <= 0 or pts != tuple(sorted(pts, reverse=True))):
+            for i, p in enumerate(pts):
+                if p <= 0:
+                    raise ValueError(f"parts must be positive integers, got {p}")
+                if i > 0 and pts[i - 1] < p:
+                    raise ValueError(f"parts must be weakly decreasing, got {pts}")
         self.parts = pts
         self.size = sum(pts)
 
@@ -92,11 +95,21 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose the diagram."""
-        if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p > c) for c in range(self.parts[0])
-        )
+        return Partition(self.column_lengths())
+
+    def column_lengths(self) -> list[int]:
+        """Column heights, left to right: the parts of the conjugate.
+
+        One pass over rows and columns together, O(rows + columns).
+        """
+        parts = self.parts
+        rows = len(parts)
+        out = []
+        for c in range(parts[0] if parts else 0):
+            while parts[rows - 1] <= c:
+                rows -= 1
+            out.append(rows)
+        return out
 
     def distinct_part_count(self) -> int:
         return len(set(self.parts))
@@ -161,16 +174,47 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
-    return [Partition(p) for p in _descending_lex(n, n)]
+    return [Partition(p) for p in _descending_lex(n)]
 
 
-def _descending_lex(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+def _descending_lex(n: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n as part tuples, in descending lexicographic order.
+
+    Iterative descending-composition generator (Zoghbi-Stojmenovic ZS1,
+    the descending encoding compared by Kelleher and O'Sullivan,
+    arXiv:0909.2331). x holds the parts followed by ones; m is the part
+    count and h the index of the last part larger than 1. Each step
+    lowers x[h] by one and refills the tail greedily with parts no larger
+    than it, in constant amortised time per partition.
+    """
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _descending_lex(n - first, first):
-            yield (first,) + rest
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 @lru_cache(maxsize=None)

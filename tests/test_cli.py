@@ -99,6 +99,30 @@ def test_betti_non_generic_rho_rejected(capsys):
     assert "non-generic" in err
 
 
+def test_betti_computes_each_weight_list_once(capsys, monkeypatch):
+    from hilb import equivariant, pentagonal_partition_count
+
+    calls = []
+    original = equivariant.tangent_weights
+
+    def counted(lam, u, v):
+        calls.append((tuple(lam), u, v))
+        return original(lam, u, v)
+
+    monkeypatch.setattr(equivariant, "tangent_weights", counted)
+    code, record = run_json(capsys, ["betti", "--space", "p2", "--n", "4"])
+    assert code == 0
+    assert record["parameters"]["rho"] == [1, 33]
+    # one weight list per chart and per partition of every size 0..4
+    assert len(calls) == len(set(calls)) == 3 * sum(
+        pentagonal_partition_count(s) for s in range(5)
+    )
+    calls.clear()
+    code, record = run_json(capsys, ["betti", "--space", "affine", "--n", "6"])
+    assert code == 0
+    assert len(calls) == len(set(calls)) == pentagonal_partition_count(6)
+
+
 def test_betti_punctual_rejects_rho(capsys):
     code, out, err = run(
         capsys, ["betti", "--space", "punctual", "--n", "3", "--rho", "1,5"]

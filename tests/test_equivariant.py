@@ -10,10 +10,12 @@ from hilb import (
     Partition,
     PoincarePoly,
     cell_dimension,
+    cell_tables,
     default_rho,
     enumerate_partitions,
     fixed_points_p2,
     format_poly,
+    generic_rho,
     pentagonal_partition_count,
     poincare_affine,
     poincare_p2,
@@ -186,3 +188,43 @@ def test_punctual_invariants():
         # the statistic n - (largest part) maps to n - (number of parts)
         # under conjugation, so the multiset is self-paired
         assert sorted(n - len(lam) for lam in enumerate_partitions(n)) == dims
+
+
+def brute_poincare_p2(n, rho=None):
+    # the former route: every fixed point's whole weight list, one by one
+    pts = fixed_points_p2(n)
+    wlists = [pt.weights() for pt in pts]
+    if rho is None:
+        rho = generic_rho(wlists, n)
+    return rho, PoincarePoly.from_cell_dims(cell_dimension(ws, rho) for ws in wlists)
+
+
+def test_poincare_p2_matches_fixed_point_sum():
+    for n in range(8):
+        rho, want = brute_poincare_p2(n)
+        assert poincare_p2(n) == want
+        assert cell_tables("p2", n)[0] == rho
+        for rho in (CharVector(1, 2 * n * n + 3), CharVector(2, 4 * n * n + 7)):
+            assert poincare_p2(n, rho) == brute_poincare_p2(n, rho)[1]
+
+
+def test_poincare_affine_rho_matches_partition_weights():
+    for n in range(10):
+        weights = [tangent_weights(lam, *STD) for lam in enumerate_partitions(n)]
+        assert cell_tables("affine", n)[0] == generic_rho(weights, n)
+
+
+def test_poincare_p2_wall_rho_rejected():
+    # (1, 1) pairs to zero with the chart-0 weight (1, -1) of the column (1, 1)
+    for rho in (CharVector(1, 1), CharVector(0, 1), CharVector(1, 0)):
+        with pytest.raises(NonGenericError, match="non-generic"):
+            poincare_p2(3, rho)
+        with pytest.raises(NonGenericError):
+            brute_poincare_p2(3, rho)
+
+
+def test_cell_tables_rejects_unknown_space():
+    with pytest.raises(ValueError):
+        cell_tables("punctual", 2)
+    with pytest.raises(ValueError, match="negative"):
+        cell_tables("p2", -1)

@@ -245,3 +245,20 @@ def test_commutator_on_skew_pairing_model():
     assert r.passed and r.scalar == 0
     r = commutator_check(model, 2, 2, "f1", "f2", probes=probes)
     assert r.passed and r.scalar == -2
+
+
+def test_fock_equals_goettsche_to_order_14():
+    for surface in (P2, K3):
+        for tmax in range(15):
+            assert fock_character(surface, tmax) == goettsche_series(surface, tmax)
+
+
+def test_degree_rejects_unknown_labels():
+    for label in ("e1", "H", "", None, ["h"]):
+        with pytest.raises(ValueError, match="no cohomology class"):
+            P2.degree(label)
+    with pytest.raises(ValueError, match="no cohomology class"):
+        P2.pair("h", "x")
+    with pytest.raises(ValueError, match="no cohomology class"):
+        FockState(P2, {((1, "x"),): 1})
+    assert [K3.degree(label) for label in ("1", "e1", "e22", "pt")] == [0, 2, 2, 4]

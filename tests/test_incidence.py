@@ -176,3 +176,23 @@ def test_codim_failure_detected():
     assert not report.all_satisfied
     failing = [e for e in report.entries if not e.satisfied]
     assert [e.index for e in failing] == [3]
+
+
+def test_strata_bounds_closed_form_to_300():
+    # every propagated bound meets the cap 2n + 4 - 2i exactly, i = 1..n+1
+    t = strata_base()
+    for n in range(1, 301):
+        assert t.n == n
+        assert t.bounds == {i: 2 * n + 4 - 2 * i for i in range(1, n + 2)}
+        t = strata_propagate(t)
+    assert strata_table(300).bounds == {i: 604 - 2 * i for i in range(1, 302)}
+
+
+def test_strata_propagate_skips_empty_strata():
+    # with i = 3 empty, each new bound takes the best present neighbour:
+    # bound(j) + (j - 1) is 8, 7, 4 at j = 1, 2, 4
+    t = StrataBoundTable(3, {1: 8, 2: 6, 4: 1})
+    assert strata_propagate(t).bounds == {1: 10, 2: 8, 3: 6, 4: 2, 5: 1}
+    # here the i + 1 neighbour wins at i = 3: bound(4) + 3 = 12 beats 8 and 1
+    t = StrataBoundTable(3, {1: 8, 2: 0, 4: 9})
+    assert strata_propagate(t).bounds == {1: 10, 2: 8, 3: 11, 4: 10, 5: 9}

@@ -152,3 +152,63 @@ def test_pair_symmetric_bilinear(u, v, w, c):
     assert pair(lat, du, dv) == pair(lat, dv, du)
     assert pair(lat, du + dv, dw) == pair(lat, du, dw) + pair(lat, dv, dw)
     assert pair(lat, c * du, dv) == c * pair(lat, du, dv)
+
+
+@st.composite
+def symmetric_lattices_with_classes(draw):
+    # a random symmetric base, blown up at a few points, and two classes on it
+    r = draw(st.integers(min_value=0, max_value=5))
+    entry = st.integers(min_value=-6, max_value=6)
+    upper = {(i, j): draw(entry) for i in range(r) for j in range(i, r)}
+    gram = tuple(
+        tuple(upper[(min(i, j), max(i, j))] for j in range(r)) for i in range(r)
+    )
+    base = IntersectionLattice(gram, tuple(f"B{i}" for i in range(r)))
+    lat = blow_up(base, draw(st.integers(min_value=0, max_value=4)))
+    coords = st.lists(
+        st.integers(min_value=-20, max_value=20), min_size=lat.rank, max_size=lat.rank
+    )
+    return lat, DivisorClass(tuple(draw(coords))), DivisorClass(tuple(draw(coords)))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(symmetric_lattices_with_classes())
+def test_sparse_pair_equals_dense_double_sum(case):
+    lat, d1, d2 = case
+    g = lat.gram
+    dense = sum(
+        d1.coords[i] * g[i][j] * d2.coords[j]
+        for i in range(lat.rank)
+        for j in range(lat.rank)
+    )
+    assert pair(lat, d1, d2) == dense
+    assert IntersectionLattice(g, lat.labels) == lat
+
+
+@settings(derandomize=True, max_examples=100)
+@given(symmetric_lattices_with_classes(), st.integers(0, 3), st.integers(0, 3))
+def test_blow_up_stacks_on_any_base(case, a, b):
+    lat = case[0]
+    stacked = blow_up(blow_up(lat, a), b)
+    assert stacked == blow_up(lat, a + b)
+    assert hash(stacked) == hash(blow_up(lat, a + b))
+    r = lat.rank
+    g = stacked.gram
+    assert all(g[i][: r] == lat.gram[i] for i in range(r))
+    assert all(
+        g[i][j] == (-1 if i == j else 0)
+        for i in range(r, r + a + b)
+        for j in range(r + a + b)
+    )
+
+
+def test_lattice_from_entries_validation():
+    lat = IntersectionLattice.from_entries({(0, 0): 2, (0, 1): 3, (1, 0): 3}, ("A", "B"))
+    assert lat.gram == ((2, 3), (3, 0))
+    assert lat == IntersectionLattice(((2, 3), (3, 0)), ("A", "B"))
+    with pytest.raises(ValueError, match="symmetric"):
+        IntersectionLattice.from_entries({(0, 1): 3}, ("A", "B"))
+    with pytest.raises(ValueError, match="outside"):
+        IntersectionLattice.from_entries({(2, 2): -1}, ("A", "B"))
+    with pytest.raises(AttributeError):
+        lat.labels = ("C", "D")

@@ -186,3 +186,35 @@ def test_conjugate_involution_hypothesis(lam):
 def test_cover_adjunction_hypothesis(lam):
     for mu in lam.covers():
         assert lam in mu.cocovers()
+
+
+def recursive_descending_lex(n, max_part):
+    # the former recursive route, kept here as the oracle for the iterative one
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in recursive_descending_lex(n - first, first):
+            yield (first,) + rest
+
+
+def test_enumeration_matches_recursive_route():
+    for n in range(23):
+        got = [lam.parts for lam in enumerate_partitions(n)]
+        assert got == list(recursive_descending_lex(n, n))
+
+
+def test_validation_errors_name_the_first_fault():
+    with pytest.raises(ValueError, match="positive"):
+        Partition((2, 0, 1))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        Partition((2, 1, 3, 0))
+    with pytest.raises(ValueError, match="positive"):
+        Partition((2, 2, 0))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(partitions_strategy)
+def test_column_lengths_are_conjugate(lam):
+    assert tuple(lam.column_lengths()) == brute_conjugate(lam)
+    assert lam.conjugate().parts == brute_conjugate(lam)
