@@ -19,7 +19,6 @@ from hilb import (
     nakajima_recurrence,
     one_point_locus_dim,
     p2_lattice,
-    pair,
     punctual_locus_dim,
     rank_zero_lattice,
 )
@@ -30,7 +29,7 @@ print(f"classes: {', '.join(lat.labels)}")
 for i, label in enumerate(lat.labels):
     print(f"  {label:3} row of the intersection form: {lat.gram[i]}")
 e_total = lat.cls("E1") + lat.cls("E2") + lat.cls("E3")
-print(f"(E1+E2+E3)^2 = {pair(lat, e_total, e_total)}")
+print(f"(E1+E2+E3)^2 = {lat.pair(e_total, e_total)}")
 
 print()
 print("=== The square is -n, whatever the base surface ===")

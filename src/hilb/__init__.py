@@ -76,7 +76,6 @@ from .lattice import (
     nakajima_recurrence,
     one_point_locus_dim,
     p2_lattice,
-    pair,
     punctual_locus_dim,
     rank_zero_lattice,
 )
@@ -159,7 +158,6 @@ __all__ = [
     "nakajima_recurrence",
     "one_point_locus_dim",
     "p2_lattice",
-    "pair",
     "punctual_locus_dim",
     "rank_zero_lattice",
     # series and Fock model

@@ -6,10 +6,6 @@ chamber choices are auditable), an integer-exact payload, and the
 package version. Formats: aligned text table (default), JSON with
 sorted keys, or CSV of the payload table. Output is byte-identical
 across runs; there is no floating point anywhere.
-
-HILB_THREADS, when set, caps worker parallelism. All documented
-invocations finish in well under a second single-threaded, so the cap
-is currently a validated no-op recorded in the echoed parameters.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import __version__
@@ -30,7 +25,7 @@ from .equivariant import (
     poincare_punctual,
 )
 from .errors import ConsistencyError
-from .heisenberg import SurfaceModel, goettsche_series, p2_surface
+from .heisenberg import SurfaceModel, goettsche_series
 from .incidence import (
     check_codim_hypotheses,
     euler_incidence,
@@ -50,37 +45,15 @@ from .partitions import enumerate_partitions
 from .verify import run_checks
 
 
-def _parse_threads() -> int:
-    raw = os.environ.get("HILB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"HILB_THREADS must be a positive integer, got {raw!r}")
-    if threads < 1:
-        raise ValueError(f"HILB_THREADS must be a positive integer, got {raw!r}")
-    return threads
-
-
-def _parse_rho(raw: str) -> CharVector:
+def _int_list(raw: str, count: int, wanted: str) -> tuple[int, ...]:
+    """`count` comma-separated integers; `wanted` opens the error message."""
     bits = raw.split(",")
-    if len(bits) != 2:
-        raise ValueError(f"--rho wants two comma-separated integers, got {raw!r}")
-    try:
-        return CharVector(int(bits[0]), int(bits[1]))
-    except ValueError:
-        raise ValueError(f"--rho wants two comma-separated integers, got {raw!r}")
-
-
-def _parse_betti(raw: str) -> tuple[int, ...]:
-    bits = raw.split(",")
-    if len(bits) != 5:
-        raise ValueError(f"--betti wants five comma-separated integers, got {raw!r}")
-    try:
-        return tuple(int(b) for b in bits)
-    except ValueError:
-        raise ValueError(f"--betti wants five comma-separated integers, got {raw!r}")
+    if len(bits) == count:
+        try:
+            return tuple(int(b) for b in bits)
+        except ValueError:
+            pass
+    raise ValueError(f"{wanted} comma-separated integers, got {raw!r}")
 
 
 def cmd_partitions(args) -> tuple[dict, dict, int]:
@@ -102,7 +75,9 @@ def cmd_betti(args) -> tuple[dict, dict, int]:
             raise ValueError("--rho does not apply to the punctual locus")
         poly = poincare_punctual(n)
     else:
-        rho = _parse_rho(args.rho) if args.rho is not None else None
+        rho = None
+        if args.rho is not None:
+            rho = CharVector(*_int_list(args.rho, 2, "--rho wants two"))
         rho, tables = cell_tables(args.space, n, rho)
         params["rho"] = [rho.a, rho.b]
         poly = poincare_from_tables(tables, n)
@@ -116,61 +91,45 @@ def cmd_betti(args) -> tuple[dict, dict, int]:
     return params, payload, 0
 
 
+_INCIDENCE_COLUMNS = {
+    "jumps": ["n", "pairs", "max_jump", "ok"],
+    "euler": ["n", "pairs", "generator_sum", "socle_sum", "ok"],
+    "fibers": ["n", "pairs", "phi_fibers", "gamma_fibers", "ok"],
+    "all": ["n", "pairs", "max_jump", "generator_sum", "socle_sum", "ok"],
+}
+
+
+def _incidence_row(n: int, columns: list[str]) -> list:
+    """One `incidence` row; each quantity is computed only if a column shows it."""
+    got: dict = {"n": n}
+    if "max_jump" in columns:
+        prs = nested_pairs(n)
+        got["pairs"] = len(prs)
+        got["max_jump"] = max(
+            (
+                abs(local_generator_count(p.upper) - local_generator_count(p.lower))
+                for p in prs
+            ),
+            default=0,
+        )
+    if "generator_sum" in columns:
+        # euler_incidence raises ConsistencyError unless all three counts agree
+        got["pairs"] = got["generator_sum"] = got["socle_sum"] = euler_incidence(n)
+    if "phi_fibers" in columns:
+        got["pairs"] = len(nested_pairs(n))
+        got["phi_fibers"] = sum(local_generator_count(lam) for lam in enumerate_partitions(n))
+        got["gamma_fibers"] = sum(socle_count(mu) for mu in enumerate_partitions(n + 1))
+    # ok: every count column agrees and no generator count jumps by more than one
+    counts = {got[c] for c in columns[1:-1] if c != "max_jump"}
+    ok = len(counts) == 1 and got.get("max_jump", 0) <= 1
+    return [got[c] for c in columns[:-1]] + [ok]
+
+
 def cmd_incidence(args) -> tuple[dict, dict, int]:
     if args.n < 0:
         raise ValueError(f"--n must be non-negative, got {args.n}")
-    sizes = range(args.n + 1)
-    rows = []
-    if args.check == "jumps":
-        columns = ["n", "pairs", "max_jump", "ok"]
-        for n in sizes:
-            prs = nested_pairs(n)
-            jump = max(
-                (
-                    abs(local_generator_count(p.upper) - local_generator_count(p.lower))
-                    for p in prs
-                ),
-                default=0,
-            )
-            rows.append([n, len(prs), jump, jump <= 1])
-    elif args.check == "euler":
-        columns = ["n", "pairs", "generator_sum", "socle_sum", "ok"]
-        for n in sizes:
-            count = euler_incidence(n)
-            gen_sum = sum(local_generator_count(lam) for lam in enumerate_partitions(n))
-            socle_sum = sum(socle_count(mu) for mu in enumerate_partitions(n + 1))
-            rows.append([n, count, gen_sum, socle_sum, count == gen_sum == socle_sum])
-    elif args.check == "fibers":
-        columns = ["n", "pairs", "phi_fibers", "gamma_fibers", "ok"]
-        for n in sizes:
-            prs = nested_pairs(n)
-            phi = sum(local_generator_count(lam) for lam in enumerate_partitions(n))
-            gamma = sum(socle_count(mu) for mu in enumerate_partitions(n + 1))
-            rows.append([n, len(prs), phi, gamma, len(prs) == phi == gamma])
-    else:
-        columns = ["n", "pairs", "max_jump", "generator_sum", "socle_sum", "ok"]
-        for n in sizes:
-            prs = nested_pairs(n)
-            jump = max(
-                (
-                    abs(local_generator_count(p.upper) - local_generator_count(p.lower))
-                    for p in prs
-                ),
-                default=0,
-            )
-            count = euler_incidence(n)
-            gen_sum = sum(local_generator_count(lam) for lam in enumerate_partitions(n))
-            socle_sum = sum(socle_count(mu) for mu in enumerate_partitions(n + 1))
-            rows.append(
-                [
-                    n,
-                    count,
-                    jump,
-                    gen_sum,
-                    socle_sum,
-                    jump <= 1 and count == gen_sum == socle_sum,
-                ]
-            )
+    columns = _INCIDENCE_COLUMNS[args.check]
+    rows = [_incidence_row(n, columns) for n in range(args.n + 1)]
     all_ok = all(r[-1] for r in rows)
     payload = {"passed": all_ok, "columns": columns, "rows": rows}
     return {"n": args.n, "check": args.check}, payload, 0 if all_ok else 1
@@ -212,26 +171,19 @@ def cmd_nakajima(args) -> tuple[dict, dict, int]:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     params = {"n": args.n, "method": args.method}
-    if args.method == "recurrence":
-        seq = nakajima_recurrence(args.n)
-        rows = [[n, seq.value(n)] for n in range(1, args.n + 1)]
-        payload = {"columns": ["n", "recurrence"], "rows": rows}
-        return params, payload, 0
-    if args.method == "closed":
-        rows = [[n, nakajima_closed_form(n)] for n in range(1, args.n + 1)]
-        payload = {"columns": ["n", "closed"], "rows": rows}
-        return params, payload, 0
-    seq = nakajima_recurrence(args.n)
-    rows = [
-        [n, seq.value(n), nakajima_closed_form(n), seq.value(n) == nakajima_closed_form(n)]
-        for n in range(1, args.n + 1)
-    ]
-    payload = {
-        "all_equal": all(r[3] for r in rows),
-        "columns": ["n", "recurrence", "closed", "equal"],
-        "rows": rows,
-    }
-    return params, payload, 0 if payload["all_equal"] else 1
+    ns = range(1, args.n + 1)
+    table: dict = {"n": list(ns)}
+    if args.method != "closed":
+        table["recurrence"] = list(nakajima_recurrence(args.n).values)
+    if args.method != "recurrence":
+        table["closed"] = [nakajima_closed_form(n) for n in ns]
+    payload: dict = {}
+    if args.method == "both":
+        table["equal"] = [r == c for r, c in zip(table["recurrence"], table["closed"])]
+        payload["all_equal"] = all(table["equal"])
+    payload["columns"] = list(table)
+    payload["rows"] = [list(row) for row in zip(*table.values())]
+    return params, payload, 0 if payload.get("all_equal", True) else 1
 
 
 def cmd_lattice(args) -> tuple[dict, dict, int]:
@@ -261,40 +213,27 @@ def cmd_lattice(args) -> tuple[dict, dict, int]:
 
 
 def cmd_goettsche(args) -> tuple[dict, dict, int]:
-    betti = _parse_betti(args.betti)
+    betti = _int_list(args.betti, 5, "--betti wants five")
     if args.torder < 0:
         raise ValueError(f"--torder must be non-negative, got {args.torder}")
     surface = SurfaceModel(betti)
     series = goettsche_series(surface, args.torder)
     params = {"betti": list(betti), "torder": args.torder}
-    compare_top = -1
-    if args.compare_fixed_points:
-        if betti != (1, 0, 1, 0, 1):
-            raise ValueError(
-                "--compare-fixed-points needs the projective-plane Betti "
-                "numbers 1,0,1,0,1"
-            )
-        compare_top = min(args.torder, 6)
-        params["compare_max"] = compare_top
-    rows = []
-    ok = True
-    for n in range(args.torder + 1):
-        row: list = [n, series.slice_str(n), series.u_one(n)]
-        if args.compare_fixed_points:
-            if n <= compare_top:
-                match = series.t_slice(n) == poincare_p2(n).coeffs
-                ok = ok and match
-                row.append(match)
-            else:
-                row.append("-")
-        rows.append(row)
-    columns = ["n", "slice", "euler"]
-    if args.compare_fixed_points:
-        columns.append("matches_fixed_points")
-    payload = {"columns": columns, "rows": rows}
-    if args.compare_fixed_points:
-        payload["passed"] = ok
-    return params, payload, 0 if ok else 1
+    rows = [[n, series.slice_str(n), series.u_one(n)] for n in range(args.torder + 1)]
+    payload = {"columns": ["n", "slice", "euler"], "rows": rows}
+    if not args.compare_fixed_points:
+        return params, payload, 0
+    if betti != (1, 0, 1, 0, 1):
+        raise ValueError(
+            "--compare-fixed-points needs the projective-plane Betti "
+            "numbers 1,0,1,0,1"
+        )
+    top = params["compare_max"] = min(args.torder, 6)
+    for n, row in enumerate(rows):
+        row.append(series.t_slice(n) == poincare_p2(n).coeffs if n <= top else "-")
+    payload["columns"].append("matches_fixed_points")
+    payload["passed"] = all(row[-1] for row in rows[: top + 1])
+    return params, payload, 0 if payload["passed"] else 1
 
 
 def cmd_verify(args) -> tuple[dict, dict, int]:
@@ -426,7 +365,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _parse_threads()
         parameters, payload, code = args.handler(args)
     except ConsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -434,7 +372,7 @@ def main(argv=None) -> int:
     except (NonGenericError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    parameters["threads"] = threads
+    parameters["threads"] = 1  # kept in every record; the CLI is single-threaded
     record = {
         "command": args.command,
         "parameters": parameters,

@@ -162,15 +162,13 @@ def default_rho(n: int) -> CharVector:
 def generic_rho(weight_lists: list[list[CharVector]], n: int) -> CharVector:
     """Deterministic search (1, K), (1, K+1), ... for a wall-free subgroup."""
     weights = {w for ws in weight_lists for w in ws}
-    k = 2 * n * n + 1
-    while True:
-        rho = CharVector(1, k)
-        if all(rho.a * w.a + rho.b * w.b != 0 for w in weights):
-            return rho
+    rho = default_rho(n)
+    while any(rho.a * w.a + rho.b * w.b == 0 for w in weights):
         logger.warning(
-            "rho=(1,%d) hit a wall at n=%d, retrying with (1,%d)", k, n, k + 1
+            "rho=(1,%d) hit a wall at n=%d, retrying with (1,%d)", rho.b, n, rho.b + 1
         )
-        k += 1
+        rho = CharVector(1, rho.b + 1)
+    return rho
 
 
 # A cell table maps a chart size s to {cell dimension: number of

@@ -166,11 +166,6 @@ def rank_zero_lattice() -> IntersectionLattice:
     return IntersectionLattice((), ())
 
 
-def pair(L: IntersectionLattice, d1: DivisorClass, d2: DivisorClass) -> int:
-    """Intersection number of two classes in L."""
-    return L.pair(d1, d2)
-
-
 def blow_up(L: IntersectionLattice, k: int) -> IntersectionLattice:
     """Adjoin k exceptional classes: self-pairing -1, orthogonal to everything.
 

@@ -4,6 +4,7 @@ Every check recomputes its expected values from scratch, through closed
 forms, classical recurrences, or brute enumeration, so a failure points
 at the library rather than at the checker. Checks scale with nmax but
 cap themselves where exhaustive enumeration stops being desk-scale.
+Each check is declared once, by `_check`, with its name and scope.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Callable, Optional
 from .equivariant import (
     AFFINE_CHART,
     CharVector,
-    cell_dimension,
     fixed_points_p2,
     poincare_affine,
     poincare_p2,
@@ -62,6 +62,41 @@ class CheckResult:
     detail: str
 
 
+class _Counterexample(Exception):
+    pass
+
+
+def _expect(ok: bool, detail: str, *args) -> None:
+    """Fail the running check unless ok; detail.format(*args) is built only then."""
+    if not ok:
+        raise _Counterexample(detail.format(*args))
+
+
+_REGISTRY: list[tuple[str, Callable[[int], CheckResult]]] = []
+
+
+def _check(name: str, scope: str, **caps: Callable[[int], int]):
+    """Register a check body, in declaration order, as `fn(nmax) -> CheckResult`.
+
+    Each cap maps nmax to a size; the body gets the sizes as keywords and
+    returns its detail, and `scope` is formatted from the same sizes.
+    """
+
+    def register(body: Callable[..., str]) -> Callable[[int], CheckResult]:
+        def run(nmax: int) -> CheckResult:
+            sizes = {key: cap(nmax) for key, cap in caps.items()}
+            where = scope.format(**sizes)
+            try:
+                return CheckResult(name, where, True, body(**sizes))
+            except _Counterexample as failure:
+                return CheckResult(name, where, False, str(failure))
+
+        _REGISTRY.append((name, run))
+        return run
+
+    return register
+
+
 def _sigma(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
@@ -76,60 +111,44 @@ def _colored_partition_counts(colors: int, tmax: int) -> list[int]:
     return out
 
 
-def check_partition_counts(nmax: int) -> CheckResult:
+@_check("partition-counts", "n<={top}", top=lambda nmax: min(nmax, 30))
+def check_partition_counts(top: int) -> str:
     """Enumeration length vs the pentagonal-number recurrence."""
-    top = min(nmax, 30)
     for n in range(top + 1):
         got = len(enumerate_partitions(n))
         want = pentagonal_partition_count(n)
-        if got != want:
-            return CheckResult(
-                "partition-counts", f"n<={top}", False, f"p({n}): {got} != {want}"
-            )
-    return CheckResult("partition-counts", f"n<={top}", True, "enumeration matches recurrence")
+        _expect(got == want, "p({}): {} != {}", n, got, want)
+    return "enumeration matches recurrence"
 
 
-def check_conjugate_involution(nmax: int) -> CheckResult:
-    top = min(nmax, 20)
+@_check("conjugate-involution", "n<={top}", top=lambda nmax: min(nmax, 20))
+def check_conjugate_involution(top: int) -> str:
     for n in range(top + 1):
         for lam in enumerate_partitions(n):
-            if lam.conjugate().conjugate() != lam:
-                return CheckResult(
-                    "conjugate-involution", f"n<={top}", False, f"failed at {lam}"
-                )
-    return CheckResult("conjugate-involution", f"n<={top}", True, "transpose is an involution")
+            _expect(lam.conjugate().conjugate() == lam, "failed at {}", lam)
+    return "transpose is an involution"
 
 
-def check_cover_duality(nmax: int) -> CheckResult:
+@_check("cover-duality", "n<={top}", top=lambda nmax: min(nmax, 20))
+def check_cover_duality(top: int) -> str:
     """covers/cocovers adjunction plus the distinct-part count formulas."""
-    top = min(nmax, 20)
     for n in range(top + 1):
         for lam in enumerate_partitions(n):
             ups = lam.covers()
-            if len(ups) != lam.distinct_part_count() + 1:
-                return CheckResult("cover-duality", f"n<={top}", False, f"cover count at {lam}")
+            _expect(len(ups) == lam.distinct_part_count() + 1, "cover count at {}", lam)
             for mu in ups:
-                if lam not in mu.cocovers():
-                    return CheckResult(
-                        "cover-duality", f"n<={top}", False, f"{lam} missing under {mu}"
-                    )
+                _expect(lam in mu.cocovers(), "{} missing under {}", lam, mu)
             if lam:
                 downs = lam.cocovers()
-                if len(downs) != lam.distinct_part_count():
-                    return CheckResult(
-                        "cover-duality", f"n<={top}", False, f"cocover count at {lam}"
-                    )
+                _expect(len(downs) == lam.distinct_part_count(), "cocover count at {}", lam)
                 for nu in downs:
-                    if lam not in nu.covers():
-                        return CheckResult(
-                            "cover-duality", f"n<={top}", False, f"{lam} missing over {nu}"
-                        )
-    return CheckResult("cover-duality", f"n<={top}", True, "adjunction and counts hold")
+                    _expect(lam in nu.covers(), "{} missing over {}", lam, nu)
+    return "adjunction and counts hold"
 
 
-def check_generator_socle(nmax: int) -> CheckResult:
+@_check("generator-socle", "n<={top}", top=lambda nmax: min(nmax, 25))
+def check_generator_socle(top: int) -> str:
     """Generator count = socle count + 1 = distinct parts + 1, both routes."""
-    top = min(nmax, 25)
     total = 0
     for n in range(1, top + 1):
         for lam in enumerate_partitions(n):
@@ -137,146 +156,119 @@ def check_generator_socle(nmax: int) -> CheckResult:
             s = socle_count(lam)
             d = lam.distinct_part_count()
             gc = generator_count(lam.conjugate())
-            if not (g == s + 1 == d + 1 and gc == g):
-                return CheckResult(
-                    "generator-socle", f"n<={top}", False,
-                    f"{lam}: generators {g}, socle {s}, distinct {d}, conjugate {gc}",
-                )
+            _expect(
+                g == s + 1 == d + 1 and gc == g,
+                "{}: generators {}, socle {}, distinct {}, conjugate {}", lam, g, s, d, gc,
+            )
             total += 1
-    return CheckResult("generator-socle", f"n<={top}", True, f"{total} partitions checked")
+    return f"{total} partitions checked"
 
 
-def check_hilbert_burch(nmax: int) -> CheckResult:
+@_check("hilbert-burch", "n<={top}", top=lambda nmax: min(nmax, 15))
+def check_hilbert_burch(top: int) -> str:
     """Maximal minors reproduce the staircase generators up to sign."""
-    top = min(nmax, 15)
     total = 0
     for n in range(1, top + 1):
         for lam in enumerate_partitions(n):
             m = hilbert_burch(lam)
             gens = set(staircase(lam).generators)
             minors = {t.monomial for t in m.maximal_minors()}
-            if not m.matches_generators() or minors != gens:
-                return CheckResult("hilbert-burch", f"n<={top}", False, f"failed at {lam}")
+            _expect(m.matches_generators() and minors == gens, "failed at {}", lam)
             total += 1
-    return CheckResult("hilbert-burch", f"n<={top}", True, f"{total} matrices checked")
+    return f"{total} matrices checked"
 
 
-def check_jump_bound(nmax: int) -> CheckResult:
+@_check("jump-bound", "n<={top}", top=lambda nmax: min(nmax, 20))
+def check_jump_bound(top: int) -> str:
     """Generator count moves by at most one along nested pairs."""
-    top = min(nmax, 20)
     pairs = 0
     for n in range(1, top + 1):
         for pr in nested_pairs(n):
-            if abs(generator_count(pr.upper) - generator_count(pr.lower)) > 1:
-                return CheckResult(
-                    "jump-bound", f"n<={top}", False, f"{pr.lower} -> {pr.upper}"
-                )
+            jump = abs(generator_count(pr.upper) - generator_count(pr.lower))
+            _expect(jump <= 1, "{} -> {}", pr.lower, pr.upper)
             pairs += 1
-    return CheckResult("jump-bound", f"n<={top}", True, f"{pairs} nested pairs checked")
+    return f"{pairs} nested pairs checked"
 
 
-def check_tangent_weights(nmax: int) -> CheckResult:
+@_check("tangent-weights", "n<={top}", top=lambda nmax: min(nmax, 10))
+def check_tangent_weights(top: int) -> str:
     """2n weights per point; multiset symmetric under conjugate + chart swap."""
-    top = min(nmax, 10)
     u, v = AFFINE_CHART
     for n in range(top + 1):
         for lam in enumerate_partitions(n):
             ws = tangent_weights(lam, u, v)
-            if len(ws) != 2 * n:
-                return CheckResult("tangent-weights", f"n<={top}", False, f"count at {lam}")
+            _expect(len(ws) == 2 * n, "count at {}", lam)
             swapped = tangent_weights(lam.conjugate(), v, u)
-            if sorted(ws) != sorted(swapped):
-                return CheckResult(
-                    "tangent-weights", f"n<={top}", False, f"conjugate multiset at {lam}"
-                )
-    return CheckResult("tangent-weights", f"n<={top}", True, "counts and symmetry hold")
+            _expect(sorted(ws) == sorted(swapped), "conjugate multiset at {}", lam)
+    return "counts and symmetry hold"
 
 
-def check_affine_closed_form(nmax: int) -> CheckResult:
+@_check("affine-closed-form", "n<={top}", top=lambda nmax: min(nmax, 12))
+def check_affine_closed_form(top: int) -> str:
     """Cell-count polynomial vs the partition-length closed form."""
-    top = min(nmax, 12)
     for n in range(top + 1):
         want: dict[int, int] = {}
         for lam in enumerate_partitions(n):
             d = 2 * (n - len(lam))
             want[d] = want.get(d, 0) + 1
-        if poincare_affine(n).coeffs != want:
-            return CheckResult("affine-closed-form", f"n<={top}", False, f"slice n={n}")
-    return CheckResult("affine-closed-form", f"n<={top}", True, "matches length statistic")
+        _expect(poincare_affine(n).coeffs == want, "slice n={}", n)
+    return "matches length statistic"
 
 
-def check_chamber_independence(nmax: int) -> CheckResult:
+@_check(
+    "chamber-independence", "affine n<={top_a}, p2 n<={top_p}",
+    top_a=lambda nmax: min(nmax, 12), top_p=lambda nmax: min(nmax, 8),
+)
+def check_chamber_independence(top_a: int, top_p: int) -> str:
     """Same Poincare polynomials across three unrelated generic subgroups."""
-    top_a = min(nmax, 12)
-    top_p = min(nmax, 8)
     for n in range(top_a + 1):
         rhos = (CharVector(1, n + 2), CharVector(n + 2, 1), CharVector(2, 2 * n + 3))
         base = poincare_affine(n, rhos[0])
         for rho in rhos[1:]:
-            if poincare_affine(n, rho) != base:
-                return CheckResult(
-                    "chamber-independence", f"affine n<={top_a}, p2 n<={top_p}",
-                    False, f"affine n={n} rho={tuple(rho)}",
-                )
+            _expect(poincare_affine(n, rho) == base, "affine n={} rho={}", n, tuple(rho))
     for n in range(top_p + 1):
         rhos = (CharVector(1, 2 * n * n + 3), CharVector(2 * n * n + 3, 1),
                 CharVector(2, 4 * n * n + 7))
         base = poincare_p2(n, rhos[0])
         for rho in rhos[1:]:
-            if poincare_p2(n, rho) != base:
-                return CheckResult(
-                    "chamber-independence", f"affine n<={top_a}, p2 n<={top_p}",
-                    False, f"p2 n={n} rho={tuple(rho)}",
-                )
-    return CheckResult(
-        "chamber-independence", f"affine n<={top_a}, p2 n<={top_p}", True,
-        "polynomials agree in all chambers tried",
-    )
+            _expect(poincare_p2(n, rho) == base, "p2 n={} rho={}", n, tuple(rho))
+    return "polynomials agree in all chambers tried"
 
 
-def check_punctual(nmax: int) -> CheckResult:
+@_check("punctual-cells", "n<={top}", top=lambda nmax: min(nmax, 25))
+def check_punctual(top: int) -> str:
     """Punctual cells: count p(n), top dimension n-1, conjugation-stable."""
-    top = min(nmax, 25)
     for n in range(1, top + 1):
         dims = punctual_cell_dims(n)
-        if len(dims) != pentagonal_partition_count(n):
-            return CheckResult("punctual-cells", f"n<={top}", False, f"count at n={n}")
-        if max(dims) != punctual_locus_dim(n):
-            return CheckResult("punctual-cells", f"n<={top}", False, f"top dim at n={n}")
-        if poincare_punctual(n).evaluate(1) != len(dims):
-            return CheckResult("punctual-cells", f"n<={top}", False, f"Euler at n={n}")
-    return CheckResult("punctual-cells", f"n<={top}", True, "count, top dim, Euler all match")
+        _expect(len(dims) == pentagonal_partition_count(n), "count at n={}", n)
+        _expect(max(dims) == punctual_locus_dim(n), "top dim at n={}", n)
+        _expect(poincare_punctual(n).evaluate(1) == len(dims), "Euler at n={}", n)
+    return "count, top dim, Euler all match"
 
 
-def check_euler_incidence(nmax: int) -> CheckResult:
-    top = min(nmax, 20)
+@_check("euler-incidence", "n<={top}", top=lambda nmax: min(nmax, 20))
+def check_euler_incidence(top: int) -> str:
     for n in range(top + 1):
         euler_incidence(n)  # raises ConsistencyError on mismatch
-    return CheckResult(
-        "euler-incidence", f"n<={top}", True, "pairs = generator sum = socle sum"
-    )
+    return "pairs = generator sum = socle sum"
 
 
-def check_strata_bounds(nmax: int) -> CheckResult:
+@_check("strata-bounds", "n<={top}", top=lambda nmax: max(nmax, 40))
+def check_strata_bounds(top: int) -> str:
     """Propagated bounds never exceed 2n + 4 - 2i; codim hypotheses hold."""
-    top = max(nmax, 40)
     t = strata_table(1)
     for n in range(1, top + 1):
         for i, b in t.bounds.items():
-            if i >= 2 and b > 2 * n + 4 - 2 * i:
-                return CheckResult(
-                    "strata-bounds", f"n<={top}", False, f"bound({i},{n})={b} too big"
-                )
-        if not check_codim_hypotheses(t).all_satisfied:
-            return CheckResult("strata-bounds", f"n<={top}", False, f"codim fails at n={n}")
+            _expect(i < 2 or b <= 2 * n + 4 - 2 * i, "bound({},{})={} too big", i, n, b)
+        _expect(check_codim_hypotheses(t).all_satisfied, "codim fails at n={}", n)
         if n < top:
             t = strata_propagate(t)
-    return CheckResult("strata-bounds", f"n<={top}", True, "bounds and codims verified")
+    return "bounds and codims verified"
 
 
-def check_exceptional_square(nmax: int) -> CheckResult:
+@_check("exceptional-square", "n<={top}", top=lambda nmax: min(max(nmax, 50), 50))
+def check_exceptional_square(top: int) -> str:
     """E.E = -n over three different bases."""
-    top = min(max(nmax, 50), 50)
     bases = (
         rank_zero_lattice(),
         p2_lattice(),
@@ -285,63 +277,53 @@ def check_exceptional_square(nmax: int) -> CheckResult:
     for base in bases:
         for n in range(1, top + 1):
             got = exceptional_total_square(n, base)
-            if got != -n:
-                return CheckResult(
-                    "exceptional-square", f"n<={top}", False,
-                    f"base rank {base.rank}, n={n}: {got}",
-                )
-    return CheckResult("exceptional-square", f"n<={top}", True, "three bases, all -n")
+            _expect(got == -n, "base rank {}, n={}: {}", base.rank, n, got)
+    return "three bases, all -n"
 
 
-def check_nakajima(nmax: int) -> CheckResult:
+@_check("nakajima", "n<={top}", top=lambda nmax: max(nmax, 200))
+def check_nakajima(top: int) -> str:
     """Recurrence equals closed form; dimension bookkeeping is complementary."""
-    top = max(nmax, 200)
     seq = nakajima_recurrence(top)
     for n in range(1, top + 1):
-        if seq.value(n) != nakajima_closed_form(n):
-            return CheckResult("nakajima", f"n<={top}", False, f"mismatch at n={n}")
-        if one_point_locus_dim(n) + punctual_locus_dim(n) != hilbert_scheme_dim(n):
-            return CheckResult("nakajima", f"n<={top}", False, f"dims at n={n}")
-    return CheckResult("nakajima", f"n<={top}", True, "recurrence matches closed form")
+        _expect(seq.value(n) == nakajima_closed_form(n), "mismatch at n={}", n)
+        _expect(
+            one_point_locus_dim(n) + punctual_locus_dim(n) == hilbert_scheme_dim(n),
+            "dims at n={}", n,
+        )
+    return "recurrence matches closed form"
 
 
-def check_goettsche_vs_fixed_points(nmax: int) -> CheckResult:
+@_check("goettsche-vs-fixed-points", "n<={top}", top=lambda nmax: min(nmax, 6))
+def check_goettsche_vs_fixed_points(top: int) -> str:
     """Series slices equal projective-plane fixed-point Poincare polynomials."""
-    top = min(nmax, 6)
     series = goettsche_series(p2_surface(), top)
     for n in range(top + 1):
-        if series.t_slice(n) != poincare_p2(n).coeffs:
-            return CheckResult("goettsche-vs-fixed-points", f"n<={top}", False, f"slice {n}")
-        if series.u_one(n) != len(fixed_points_p2(n)):
-            return CheckResult("goettsche-vs-fixed-points", f"n<={top}", False, f"Euler {n}")
-    return CheckResult(
-        "goettsche-vs-fixed-points", f"n<={top}", True, "slices and Euler counts agree"
-    )
+        _expect(series.t_slice(n) == poincare_p2(n).coeffs, "slice {}", n)
+        _expect(series.u_one(n) == len(fixed_points_p2(n)), "Euler {}", n)
+    return "slices and Euler counts agree"
 
 
-def check_fock_character(nmax: int) -> CheckResult:
+@_check("fock-character", "t<={top}", top=lambda nmax: min(nmax, 8))
+def check_fock_character(top: int) -> str:
     """Per-generator character equals the Betti-indexed product, two models."""
-    top = min(nmax, 8)
     for surface in (p2_surface(), k3_surface()):
-        if fock_character(surface, top) != goettsche_series(surface, top):
-            return CheckResult(
-                "fock-character", f"t<={top}", False, f"betti {surface.betti}"
-            )
-        colored = _colored_partition_counts(surface.euler_characteristic(), top)
         series = goettsche_series(surface, top)
+        _expect(fock_character(surface, top) == series, "betti {}", surface.betti)
+        colored = _colored_partition_counts(surface.euler_characteristic(), top)
         for n in range(top + 1):
-            if series.u_one(n) != colored[n]:
-                return CheckResult(
-                    "fock-character", f"t<={top}", False,
-                    f"u=1 slice {n} of betti {surface.betti}",
-                )
-    return CheckResult("fock-character", f"t<={top}", True, "both models, both routes")
+            _expect(
+                series.u_one(n) == colored[n], "u=1 slice {} of betti {}", n, surface.betti
+            )
+    return "both models, both routes"
 
 
-def check_commutators(nmax: int) -> CheckResult:
+@_check(
+    "commutators", "m,k<={mk}",
+    mk=lambda nmax: min(nmax, 5), depth=lambda nmax: min(nmax, 6),
+)
+def check_commutators(mk: int, depth: int) -> str:
     """Heisenberg relation on spanning probes, plus an off-diagonal pairing."""
-    mk = min(nmax, 5)
-    depth = min(nmax, 6)
     surface = p2_surface()
     probes = [
         FockState(surface, {mono: 1}) for mono in basis_monomials(surface, depth)
@@ -352,11 +334,7 @@ def check_commutators(nmax: int) -> CheckResult:
             for alpha in labels:
                 for beta in labels:
                     rep = commutator_check(surface, m, k, alpha, beta, probes)
-                    if not rep.passed:
-                        return CheckResult(
-                            "commutators", f"m,k<={mk}", False,
-                            f"[a_{m}({alpha}), a_-{k}({beta})]",
-                        )
+                    _expect(rep.passed, "[a_{}({}), a_-{}({})]", m, alpha, k, beta)
     skew = SurfaceModel((1, 0, 2, 0, 1), ((0, 1), (1, 0)), ("f1", "f2"))
     probes2 = [
         FockState(skew, {mono: 1}) for mono in basis_monomials(skew, min(depth, 4))
@@ -365,36 +343,13 @@ def check_commutators(nmax: int) -> CheckResult:
         for alpha in skew.labels():
             for beta in skew.labels():
                 rep = commutator_check(skew, m, m, alpha, beta, probes2)
-                if not rep.passed:
-                    return CheckResult(
-                        "commutators", f"m,k<={mk}", False,
-                        f"skew model [a_{m}({alpha}), a_-{m}({beta})]",
-                    )
-    return CheckResult(
-        "commutators", f"m,k<={mk}", True,
-        f"{len(probes)} probes on the plane model, {len(probes2)} on the skew model",
-    )
+                _expect(
+                    rep.passed, "skew model [a_{}({}), a_-{}({})]", m, alpha, m, beta
+                )
+    return f"{len(probes)} probes on the plane model, {len(probes2)} on the skew model"
 
 
-ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
-    ("partition-counts", check_partition_counts),
-    ("conjugate-involution", check_conjugate_involution),
-    ("cover-duality", check_cover_duality),
-    ("generator-socle", check_generator_socle),
-    ("hilbert-burch", check_hilbert_burch),
-    ("jump-bound", check_jump_bound),
-    ("tangent-weights", check_tangent_weights),
-    ("affine-closed-form", check_affine_closed_form),
-    ("chamber-independence", check_chamber_independence),
-    ("punctual-cells", check_punctual),
-    ("euler-incidence", check_euler_incidence),
-    ("strata-bounds", check_strata_bounds),
-    ("exceptional-square", check_exceptional_square),
-    ("nakajima", check_nakajima),
-    ("goettsche-vs-fixed-points", check_goettsche_vs_fixed_points),
-    ("fock-character", check_fock_character),
-    ("commutators", check_commutators),
-)
+ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = tuple(_REGISTRY)
 
 
 def run_checks(nmax: int, names: Optional[list[str]] = None) -> list[CheckResult]:

@@ -1,43 +1,20 @@
-"""Acceptance criteria: eleven end-to-end checks, one test each.
-
-Every test prints a single ACCEPTANCE line (visible under pytest -s; the
-test name itself carries the verdict under pytest -v). All arithmetic is
-exact; the only tolerances are the pinned wall-clock budgets.
+"""Acceptance criteria: criterion 1 runs the CLI, criteria 2-11 are rows
+of the `hilb verify` registry, each asserting its check's outcome, exact
+scope and wall-clock budget. Every test prints one ACCEPTANCE line
+(visible under pytest -s); the budgets are the only tolerances.
 """
 
 import json
 import time
 
-from hilb import (
-    check_codim_hypotheses,
-    cli,
-    commutator_check,
-    enumerate_partitions,
-    exceptional_total_square,
-    fixed_points_p2,
-    fock_character,
-    generator_count,
-    goettsche_series,
-    k3_surface,
-    local_generator_count,
-    nested_pairs,
-    p2_lattice,
-    p2_surface,
-    pentagonal_partition_count,
-    poincare_affine,
-    poincare_p2,
-    punctual_cell_dims,
-    rank_zero_lattice,
-    socle_count,
-    strata_table,
-    IntersectionLattice,
-    CharVector,
-)
+import pytest
+
+from hilb import cli, commutator_check, p2_surface, vacuum
+from hilb.verify import run_checks
 
 
-def report(k, label, elapsed=None):
-    suffix = f" ({elapsed:.2f} s)" if elapsed is not None else ""
-    print(f"ACCEPTANCE {k}: {label}: PASS{suffix}")
+def report(k, label, elapsed):
+    print(f"ACCEPTANCE {k}: {label}: PASS ({elapsed:.2f} s)")
 
 
 def test_acceptance_01_nakajima_constants_cli(capsys):
@@ -58,153 +35,58 @@ def test_acceptance_01_nakajima_constants_cli(capsys):
         report(1, "recurrence = closed form = (-1)^(n-1) n for n <= 200 via CLI", elapsed)
 
 
-def test_acceptance_02_exceptional_square(capsys):
-    bases = (
-        p2_lattice(),
-        rank_zero_lattice(),
-        IntersectionLattice(((2, 3), (3, -4)), ("A", "B")),
-    )
-    start = time.perf_counter()
-    for base in bases:
-        for n in range(1, 51):
-            assert exceptional_total_square(n, base) == -n
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0
-    with capsys.disabled():
-        report(2, "total exceptional square is -n for n <= 50 over 3 base lattices", elapsed)
+# (k, check, nmax, scope, budget in seconds or None, label); {detail} in a
+# label is filled from the check's report.
+ROWS = [
+    (2, "exceptional-square", 50, "n<=50", 1.0,
+     "total exceptional square is -n for n <= 50 over 3 base lattices"),
+    (3, "generator-socle", 25, "n<=25", 5.0,
+     "generators = socle + 1 ({detail}, n <= 25)"),
+    (4, "jump-bound", 20, "n<=20", 5.0,
+     "generator count jumps by at most 1 ({detail}, n <= 20)"),
+    (5, "strata-bounds", 40, "n<=40", 1.0,
+     "strata bounds <= 2n+4-2i and codim hypotheses hold for n <= 40"),
+    (6, "punctual-cells", 25, "n<=25", 5.0,
+     "punctual locus: top cell n-1, cell count p(n), for n <= 25"),
+    (7, "goettsche-vs-fixed-points", 6, "n<=6", 60.0,
+     "fixed-point Betti numbers equal the product-series slices, n <= 6"),
+    (8, "chamber-independence", 8, "affine n<=8, p2 n<=8", None,
+     "Betti polynomials identical across 3 generic subgroups, n <= 8"),
+    (9, "euler-incidence", 20, "n<=20", 5.0,
+     "|nested pairs| = sum of generators = sum of socles for n <= 20"),
+    (10, "commutators", 6, "m,k<=5", None,
+     "commutator scalar is delta * (-1)^(m-1) m <a,b> ({detail})"),
+    (11, "fock-character", 8, "t<=8", None,
+     "Fock character equals the product series to t-order 8 (P2 and K3 models)"),
+]
 
 
-def test_acceptance_03_generator_socle_identity(capsys):
-    start = time.perf_counter()
-    checked = 0
-    for n in range(1, 26):
-        for lam in enumerate_partitions(n):
-            assert generator_count(lam) == socle_count(lam) + 1
-            checked += 1
-    elapsed = time.perf_counter() - start
-    assert checked > 2000
-    assert elapsed < 5.0
-    with capsys.disabled():
-        report(3, f"generators = socle + 1 on {checked} partitions (n <= 25)", elapsed)
-
-
-def test_acceptance_04_jump_bound(capsys):
-    start = time.perf_counter()
-    checked = 0
-    for n in range(21):
-        for pr in nested_pairs(n):
-            low = local_generator_count(pr.lower)
-            high = local_generator_count(pr.upper)
-            assert abs(high - low) <= 1
-            checked += 1
-    elapsed = time.perf_counter() - start
-    assert elapsed < 5.0
-    with capsys.disabled():
-        report(4, f"generator count jumps by at most 1 on {checked} nested pairs (n <= 20)", elapsed)
-
-
-def test_acceptance_05_strata_induction(capsys):
-    start = time.perf_counter()
-    for n in range(1, 41):
-        table = strata_table(n)
-        for i, bound in table.bounds.items():
-            assert bound <= 2 * n + 4 - 2 * i
-        rep = check_codim_hypotheses(table)
-        assert rep.all_satisfied
-        for e in rep.entries:
-            if not e.vacuous:
-                assert e.codim >= 2 * e.index - 2
-                if e.index >= 2:
-                    assert e.codim >= e.index
-                if e.index >= 3:
-                    assert e.codim >= e.index + 1
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0
-    with capsys.disabled():
-        report(5, "strata bounds <= 2n+4-2i and codim hypotheses hold for n <= 40", elapsed)
-
-
-def test_acceptance_06_punctual_dimension(capsys):
-    start = time.perf_counter()
-    for n in range(1, 26):
-        dims = punctual_cell_dims(n)
-        assert max(dims) == n - 1
-        assert len(dims) == pentagonal_partition_count(n)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 5.0
-    with capsys.disabled():
-        report(6, "punctual locus: top cell n-1, cell count p(n), for n <= 25", elapsed)
-
-
-def test_acceptance_07_two_oracle_betti(capsys):
-    start = time.perf_counter()
-    series = goettsche_series(p2_surface(), 6)
-    for n in range(7):
-        assert series.t_slice(n) == poincare_p2(n).coeffs
-    assert series.t_slice(2) == {0: 1, 2: 2, 4: 3, 6: 2, 8: 1}
-    elapsed = time.perf_counter() - start
-    assert elapsed < 60.0
-    with capsys.disabled():
-        report(7, "fixed-point Betti numbers equal the product-series slices, n <= 6", elapsed)
-
-
-def test_acceptance_08_chamber_independence(capsys):
-    start = time.perf_counter()
-    for n in range(9):
-        rhos = (CharVector(1, n + 1), CharVector(n + 1, 1), CharVector(2, 2 * n + 3))
-        affine = [poincare_affine(n, rho) for rho in rhos]
-        assert affine[0] == affine[1] == affine[2] == poincare_affine(n)
-        plane = [poincare_p2(n, rho) for rho in rhos]
-        assert plane[0] == plane[1] == plane[2] == poincare_p2(n)
-    elapsed = time.perf_counter() - start
-    with capsys.disabled():
-        report(8, "Betti polynomials identical across 3 generic subgroups, n <= 8", elapsed)
-
-
-def test_acceptance_09_euler_triple(capsys):
-    start = time.perf_counter()
-    for n in range(21):
-        pairs = len(nested_pairs(n))
-        gen_sum = sum(local_generator_count(lam) for lam in enumerate_partitions(n))
-        socle_sum = sum(socle_count(mu) for mu in enumerate_partitions(n + 1))
-        assert pairs == gen_sum == socle_sum
-    elapsed = time.perf_counter() - start
-    assert elapsed < 5.0
-    with capsys.disabled():
-        report(9, "|nested pairs| = sum of generators = sum of socles for n <= 20", elapsed)
-
-
-def test_acceptance_10_heisenberg_commutators(capsys):
-    start = time.perf_counter()
+def _pin_commutator_scalars():
+    # the scalar itself, for m, k <= 5 over all plane labels; the vacuum suffices
     surface = p2_surface()
     labels = surface.labels()
-    checked = 0
     for m in range(1, 6):
         for k in range(1, 6):
             for alpha in labels:
                 for beta in labels:
-                    rep = commutator_check(surface, m, k, alpha, beta)
-                    assert rep.passed
-                    want = (
-                        (m if m % 2 else -m) * surface.pair(alpha, beta)
-                        if m == k
-                        else 0
-                    )
-                    assert rep.scalar == want
-                    checked += rep.probes_checked
-    elapsed = time.perf_counter() - start
-    with capsys.disabled():
-        report(
-            10,
-            f"commutator scalar is delta * (-1)^(m-1) m <a,b> ({checked} probe actions)",
-            elapsed,
-        )
+                    rep = commutator_check(surface, m, k, alpha, beta, [vacuum(surface)])
+                    want = (m if m % 2 else -m) * surface.pair(alpha, beta) if m == k else 0
+                    assert rep.passed and rep.scalar == want
 
 
-def test_acceptance_11_fock_character(capsys):
+@pytest.mark.parametrize(
+    "k, check, nmax, scope, budget, label", ROWS, ids=[row[1] for row in ROWS]
+)
+def test_acceptance(k, check, nmax, scope, budget, label, capsys):
     start = time.perf_counter()
-    for surface in (p2_surface(), k3_surface()):
-        assert fock_character(surface, 8) == goettsche_series(surface, 8)
+    [result] = run_checks(nmax, [check])
     elapsed = time.perf_counter() - start
+    assert result.passed, result.detail
+    assert result.scope == scope
+    assert budget is None or elapsed < budget
+    if check == "generator-socle":
+        assert int(result.detail.split()[0]) > 2000  # "9295 partitions checked"
+    if check == "commutators":
+        _pin_commutator_scalars()
     with capsys.disabled():
-        report(11, "Fock character equals the product series to t-order 8 (P2 and K3 models)", elapsed)
+        report(k, label.format(detail=result.detail), elapsed)

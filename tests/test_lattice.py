@@ -16,7 +16,6 @@ from hilb import (
     nakajima_recurrence,
     one_point_locus_dim,
     p2_lattice,
-    pair,
     punctual_locus_dim,
     rank_zero_lattice,
 )
@@ -30,7 +29,7 @@ def test_p2_lattice():
     assert lat.rank == 1
     assert lat.labels == ("H",)
     h = lat.cls("H")
-    assert pair(lat, h, h) == 1
+    assert lat.pair(h, h) == 1
 
 
 def test_blow_up_gram_frozen():
@@ -40,12 +39,12 @@ def test_blow_up_gram_frozen():
     twice = blow_up(p2_lattice(), 2)
     h, e1, e2 = (twice.cls(x) for x in ("H", "E1", "E2"))
     conic = 2 * h - e1 - e2
-    assert pair(twice, conic, conic) == 2
-    assert pair(twice, e1, e2) == 0
-    assert pair(twice, e1, e1) == -1
+    assert twice.pair(conic, conic) == 2
+    assert twice.pair(e1, e2) == 0
+    assert twice.pair(e1, e1) == -1
     line = h - e1
-    assert pair(twice, line, line) == 0
-    assert pair(twice, h, e1) == 0
+    assert twice.pair(line, line) == 0
+    assert twice.pair(h, e1) == 0
 
 
 def test_blow_up_identity_and_stacking():
@@ -65,7 +64,7 @@ def test_lattice_validation():
         IntersectionLattice(((1,),), ("A", "B"))  # label count mismatch
     lat = p2_lattice()
     with pytest.raises(ValueError, match="mismatch"):
-        pair(lat, DivisorClass((1, 2)), lat.cls("H"))
+        lat.pair(DivisorClass((1, 2)), lat.cls("H"))
 
 
 def test_divisor_arithmetic():
@@ -149,9 +148,9 @@ coords3 = st.tuples(
 def test_pair_symmetric_bilinear(u, v, w, c):
     lat = blow_up(GENUS_LATTICE, 1)
     du, dv, dw = DivisorClass(u), DivisorClass(v), DivisorClass(w)
-    assert pair(lat, du, dv) == pair(lat, dv, du)
-    assert pair(lat, du + dv, dw) == pair(lat, du, dw) + pair(lat, dv, dw)
-    assert pair(lat, c * du, dv) == c * pair(lat, du, dv)
+    assert lat.pair(du, dv) == lat.pair(dv, du)
+    assert lat.pair(du + dv, dw) == lat.pair(du, dw) + lat.pair(dv, dw)
+    assert lat.pair(c * du, dv) == c * lat.pair(du, dv)
 
 
 @st.composite
@@ -181,7 +180,7 @@ def test_sparse_pair_equals_dense_double_sum(case):
         for i in range(lat.rank)
         for j in range(lat.rank)
     )
-    assert pair(lat, d1, d2) == dense
+    assert lat.pair(d1, d2) == dense
     assert IntersectionLattice(g, lat.labels) == lat
 
 

@@ -1,0 +1,78 @@
+"""The check registry behind `hilb verify`: order, errors and failure paths."""
+
+import json
+from types import SimpleNamespace
+
+import pytest
+
+from hilb import cli, verify
+from hilb.verify import ALL_CHECKS, run_checks
+
+# A wrong stand-in for one library function, seen from hilb.verify, and the
+# counterexample the check must then report.
+BROKEN = [
+    ("exceptional-square", "exceptional_total_square", lambda n, base: 0,
+     "base rank 0, n=1: 0"),
+    ("generator-socle", "generator_count", lambda lam: 0,
+     "(1): generators 0, socle 1, distinct 1, conjugate 0"),
+    ("fock-character", "fock_character", lambda surface, top: None,
+     "betti (1, 0, 1, 0, 1)"),
+    ("commutators", "commutator_check", lambda *args: SimpleNamespace(passed=False),
+     "[a_1(1), a_-1(1)]"),
+    ("nakajima", "nakajima_closed_form", lambda n: 0, "mismatch at n=1"),
+    ("partition-counts", "pentagonal_partition_count", lambda n: n + 7, "p(0): 1 != 7"),
+]
+
+
+def test_registry_names_are_unique_and_ordered():
+    assert [name for name, _ in ALL_CHECKS] == [
+        "partition-counts",
+        "conjugate-involution",
+        "cover-duality",
+        "generator-socle",
+        "hilbert-burch",
+        "jump-bound",
+        "tangent-weights",
+        "affine-closed-form",
+        "chamber-independence",
+        "punctual-cells",
+        "euler-incidence",
+        "strata-bounds",
+        "exceptional-square",
+        "nakajima",
+        "goettsche-vs-fixed-points",
+        "fock-character",
+        "commutators",
+    ]
+
+
+def test_run_checks_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="unknown checks: no-such, other"):
+        run_checks(4, ["partition-counts", "no-such", "other"])
+    with pytest.raises(ValueError, match="nmax must be at least 1, got 0"):
+        run_checks(0)
+    with pytest.raises(ValueError, match="nmax must be at least 1, got -3"):
+        run_checks(-3, ["nakajima"])
+
+
+@pytest.mark.parametrize(
+    "check, attr, fake, detail", BROKEN, ids=[row[0] for row in BROKEN]
+)
+def test_broken_library_fails_its_check(monkeypatch, check, attr, fake, detail):
+    [good] = run_checks(4, [check])
+    assert good.passed
+    monkeypatch.setattr(verify, attr, fake)
+    [bad] = run_checks(4, [check])
+    assert (bad.name, bad.scope, bad.passed, bad.detail) == (check, good.scope, False, detail)
+
+
+def test_cli_verify_exits_1_and_names_the_failure(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "exceptional_total_square", lambda n, base: 0)
+    code = cli.main(["verify", "--all", "--nmax", "4", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert code == 1
+    assert payload["passed"] is False
+    assert payload["failures"] == ["exceptional-square"]
+    statuses = {row[0]: row[2] for row in payload["rows"]}
+    assert statuses.pop("exceptional-square") == "fail"
+    assert set(statuses.values()) == {"pass"}
