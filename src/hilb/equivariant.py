@@ -20,7 +20,7 @@ and the small-n projective values must come out right.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .partitions import Partition, as_partition, enumerate_partitions
@@ -249,21 +249,14 @@ class ChartTuple:
     """A fixed point of the Hilbert scheme of the projective plane.
 
     One partition per coordinate chart, sizes summing to n, each chart
-    carrying its own pair of coordinate characters.
+    carrying its own pair of coordinate characters from P2_CHART_WEIGHTS.
     """
 
     partitions: tuple[Partition, Partition, Partition]
-    chart_weights: tuple[tuple[CharVector, CharVector], ...] = field(
-        default=P2_CHART_WEIGHTS
-    )
-
-    @property
-    def total(self) -> int:
-        return sum(p.size for p in self.partitions)
 
     def weights(self) -> list[CharVector]:
         out: list[CharVector] = []
-        for lam, (u, v) in zip(self.partitions, self.chart_weights):
+        for lam, (u, v) in zip(self.partitions, P2_CHART_WEIGHTS):
             out.extend(tangent_weights(lam, u, v))
         return out
 

@@ -146,13 +146,6 @@ class GradedSeries:
         self.truncation = truncation
         self.coeffs = clean
 
-    @classmethod
-    def one(cls, truncation: int) -> "GradedSeries":
-        return cls(truncation, {(0, 0): 1})
-
-    def coefficient(self, n: int, m: int) -> int:
-        return self.coeffs.get((n, m), 0)
-
     def t_slice(self, n: int) -> dict[int, int]:
         """Coefficients of t^n as a {u-degree: coefficient} map."""
         if not 0 <= n <= self.truncation:
@@ -176,16 +169,22 @@ class GradedSeries:
     def __repr__(self) -> str:
         return f"GradedSeries(truncation={self.truncation}, terms={len(self.coeffs)})"
 
-    def _times_negative_binomial(self, dt: int, du: int, b: int) -> "GradedSeries":
-        """Multiply by 1/(1 - t^dt u^du)^b via negative-binomial coefficients."""
-        out: dict[tuple[int, int], int] = {}
-        for (n, m), c in self.coeffs.items():
-            j = 0
-            while n + j * dt <= self.truncation:
-                key = (n + j * dt, m + j * du)
-                out[key] = out.get(key, 0) + c * math.comb(b - 1 + j, j)
-                j += 1
-        return GradedSeries(self.truncation, out)
+
+def _unit_rows(truncation: int) -> list[list[int]]:
+    """The series 1 as rows[n][h], the coefficient of t^n u^(2h), h <= 2n."""
+    if truncation < 0:
+        raise ValueError(f"truncation must be non-negative, got {truncation}")
+    rows = [[0] * (2 * n + 1) for n in range(truncation + 1)]
+    rows[0][0] = 1
+    return rows
+
+
+def _series(rows: list[list[int]]) -> GradedSeries:
+    """The validated series whose t^n u^(2h) coefficient is rows[n][h]."""
+    return GradedSeries(
+        len(rows) - 1,
+        {(n, 2 * h): c for n, row in enumerate(rows) for h, c in enumerate(row)},
+    )
 
 
 def goettsche_series(surface: SurfaceModel, truncation: int) -> GradedSeries:
@@ -193,14 +192,27 @@ def goettsche_series(surface: SurfaceModel, truncation: int) -> GradedSeries:
 
     Product over levels m and even degrees d of
     (1 - t^m u^(2m-2+d))^(-b_d), truncated in t.
+
+    Multiplying by (1 - t^m u^(2k))^(-b) adds comb(b-1+j, j) times row
+    n - jm, shifted by jk, to row n for every j >= 1. Rows are updated
+    from the top down, so every row read is still without the factor.
     """
-    series = GradedSeries.one(truncation)
+    rows = _unit_rows(truncation)
     for m in range(1, truncation + 1):
         for d in (0, 2, 4):
             b = surface.betti[d]
-            if b:
-                series = series._times_negative_binomial(m, 2 * m - 2 + d, b)
-    return series
+            if not b:
+                continue
+            k = m - 1 + d // 2
+            binomials = [math.comb(b - 1 + j, j) for j in range(truncation // m + 1)]
+            for n in range(truncation, m - 1, -1):
+                dst = rows[n]
+                for j in range(1, n // m + 1):
+                    src, c, lo = rows[n - j * m], binomials[j], j * k
+                    dst[lo : lo + len(src)] = [
+                        a + c * x for a, x in zip(dst[lo : lo + len(src)], src)
+                    ]
+    return _series(rows)
 
 
 def fock_character(surface: SurfaceModel, truncation: int) -> GradedSeries:
@@ -214,18 +226,14 @@ def fock_character(surface: SurfaceModel, truncation: int) -> GradedSeries:
     rows[n][h] += rows[n - m][h - k] over ascending n, since row n - m
     already carries the factor when row n reads it.
     """
-    rows = [[0] * (2 * n + 1) for n in range(truncation + 1)]
-    rows[0][0] = 1
+    rows = _unit_rows(truncation)
     for m in range(1, truncation + 1):
         for _, d in surface.basis:
             k = m - 1 + d // 2
             for n in range(m, truncation + 1):
                 src, dst = rows[n - m], rows[n]
                 dst[k : k + len(src)] = map(add, dst[k : k + len(src)], src)
-    return GradedSeries(
-        truncation,
-        {(n, 2 * h): c for n, row in enumerate(rows) for h, c in enumerate(row)},
-    )
+    return _series(rows)
 
 
 # A Fock monomial is a sorted tuple of (level, class-label) factors; the

@@ -247,9 +247,7 @@ class NakajimaSequence:
         return self.values[n - 1]
 
 
-def nakajima_recurrence(
-    N: int, base: Optional[IntersectionLattice] = None
-) -> NakajimaSequence:
+def nakajima_recurrence(N: int) -> NakajimaSequence:
     """Constants c_1..c_N by the exceptional-class recurrence.
 
     Each step divides by n before scaling by n+1 and pulls its -n factor
@@ -258,16 +256,9 @@ def nakajima_recurrence(
     """
     if N < 1:
         raise ValueError(f"need at least one constant, got {N}")
-    if base is None:
-        base = rank_zero_lattice()
     values = [1]
     for n in range(1, N):
-        if one_point_locus_dim(n) + punctual_locus_dim(n) != hilbert_scheme_dim(n):
-            raise ConsistencyError(
-                f"dimension bookkeeping broke at n={n}: "
-                f"{one_point_locus_dim(n)} + {punctual_locus_dim(n)} != {2 * n}"
-            )
-        e2 = exceptional_total_square(n, base)
+        e2 = exceptional_total_square(n)
         step = Fraction(values[-1], n) * Fraction(e2, n) * (n + 1)
         if step.denominator != 1:
             raise ConsistencyError(f"non-integral constant at n={n + 1}: {step}")

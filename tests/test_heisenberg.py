@@ -21,6 +21,9 @@ from hilb import (
 
 P2 = p2_surface()
 K3 = k3_surface()
+NO_H2 = SurfaceModel((1, 0, 0, 0, 1))  # b2 = 0: no degree-2 factors
+# rank-2 middle cohomology with an off-diagonal pairing
+SKEW = SurfaceModel((1, 0, 2, 0, 1), ((0, 1), (1, 0)), ("f1", "f2"))
 
 
 def brute_character(surface, tmax):
@@ -118,7 +121,7 @@ def test_u_one_matches_fixed_point_count():
 
 
 def test_character_matches_brute_enumeration():
-    for surface, tmax in ((P2, 5), (K3, 3)):
+    for surface, tmax in ((P2, 5), (K3, 3), (NO_H2, 6), (SKEW, 5)):
         want = brute_character(surface, tmax)
         got = fock_character(surface, tmax)
         assert got.coeffs == {k: v for k, v in want.items() if v}
@@ -232,18 +235,14 @@ def test_commutator_scalar_formula_small():
 
 
 def test_commutator_on_skew_pairing_model():
-    # rank-2 middle cohomology with an off-diagonal pairing
-    model = SurfaceModel(
-        (1, 0, 2, 0, 1), ((0, 1), (1, 0)), ("f1", "f2")
-    )
-    assert model.pair("f1", "f1") == 0
-    assert model.pair("f1", "f2") == 1
-    probes = [vacuum(model)] + [
-        FockState(model, {mono: 1}) for mono in basis_monomials(model, 3)
+    assert SKEW.pair("f1", "f1") == 0
+    assert SKEW.pair("f1", "f2") == 1
+    probes = [vacuum(SKEW)] + [
+        FockState(SKEW, {mono: 1}) for mono in basis_monomials(SKEW, 3)
     ]
-    r = commutator_check(model, 2, 2, "f1", "f1", probes=probes)
+    r = commutator_check(SKEW, 2, 2, "f1", "f1", probes=probes)
     assert r.passed and r.scalar == 0
-    r = commutator_check(model, 2, 2, "f1", "f2", probes=probes)
+    r = commutator_check(SKEW, 2, 2, "f1", "f2", probes=probes)
     assert r.passed and r.scalar == -2
 
 

@@ -121,11 +121,6 @@ def test_recurrence_matches_closed_form_to_200():
         assert seq.value(n) == nakajima_closed_form(n)
 
 
-def test_recurrence_over_other_bases():
-    for base in (rank_zero_lattice(), GENUS_LATTICE):
-        assert nakajima_recurrence(12, base).values == nakajima_recurrence(12).values
-
-
 def test_sequence_validation():
     NakajimaSequence((1, -2, 3))
     with pytest.raises(ConsistencyError):

@@ -3,7 +3,6 @@
 import pytest
 
 from hilb import (
-    HilbertBurchMatrix,
     Monomial,
     Partition,
     Term,

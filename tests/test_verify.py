@@ -1,4 +1,4 @@
-"""The check registry behind `hilb verify`: order, errors and failure paths."""
+"""The check registry behind `hilb verify`: caps, order, errors and failure paths."""
 
 import json
 from types import SimpleNamespace
@@ -7,6 +7,19 @@ import pytest
 
 from hilb import cli, verify
 from hilb.verify import ALL_CHECKS, run_checks
+from test_acceptance import ROWS
+
+# (check, nmax, scope): every check that no acceptance row runs, at an nmax
+# where each of its sizes has reached its cap.
+CAP_ROWS = [
+    ("partition-counts", 30, "n<=30"),
+    ("conjugate-involution", 20, "n<=20"),
+    ("cover-duality", 20, "n<=20"),
+    ("hilbert-burch", 15, "n<=15"),
+    ("tangent-weights", 10, "n<=10"),
+    ("affine-closed-form", 12, "n<=12"),
+    ("chamber-independence", 12, "affine n<=12, p2 n<=8"),
+]
 
 # A wrong stand-in for one library function, seen from hilb.verify, and the
 # counterexample the check must then report.
@@ -44,6 +57,20 @@ def test_registry_names_are_unique_and_ordered():
         "fock-character",
         "commutators",
     ]
+
+
+@pytest.mark.parametrize("check, nmax, scope", CAP_ROWS, ids=[row[0] for row in CAP_ROWS])
+def test_check_passes_at_its_cap(check, nmax, scope):
+    [result] = run_checks(nmax, [check])
+    assert result.passed, result.detail
+    assert result.scope == scope
+
+
+def test_every_check_runs_at_its_cap():
+    # nakajima sweeps n <= 200 at every nmax, so test_cli::test_verify_small
+    # already runs it at its cap
+    capped = {row[1] for row in ROWS} | {row[0] for row in CAP_ROWS}
+    assert [name for name, _ in ALL_CHECKS if name not in capped] == ["nakajima"]
 
 
 def test_run_checks_rejects_bad_arguments():
