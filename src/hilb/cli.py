@@ -27,8 +27,8 @@ from .equivariant import (
 from .errors import ConsistencyError
 from .heisenberg import SurfaceModel, goettsche_series
 from .incidence import (
+    _confirmed_pair_count,
     check_codim_hypotheses,
-    euler_incidence,
     local_generator_count,
     nested_pairs,
     strata_table,
@@ -101,10 +101,9 @@ _INCIDENCE_COLUMNS = {
 
 def _incidence_row(n: int, columns: list[str]) -> list:
     """One `incidence` row; each quantity is computed only if a column shows it."""
-    got: dict = {"n": n}
+    prs = nested_pairs(n)
+    got: dict = {"n": n, "pairs": len(prs)}
     if "max_jump" in columns:
-        prs = nested_pairs(n)
-        got["pairs"] = len(prs)
         got["max_jump"] = max(
             (
                 abs(local_generator_count(p.upper) - local_generator_count(p.lower))
@@ -113,10 +112,9 @@ def _incidence_row(n: int, columns: list[str]) -> list:
             default=0,
         )
     if "generator_sum" in columns:
-        # euler_incidence raises ConsistencyError unless all three counts agree
-        got["pairs"] = got["generator_sum"] = got["socle_sum"] = euler_incidence(n)
+        # raises ConsistencyError unless all three counts agree
+        got["generator_sum"] = got["socle_sum"] = _confirmed_pair_count(n, len(prs))
     if "phi_fibers" in columns:
-        got["pairs"] = len(nested_pairs(n))
         got["phi_fibers"] = sum(local_generator_count(lam) for lam in enumerate_partitions(n))
         got["gamma_fibers"] = sum(socle_count(mu) for mu in enumerate_partitions(n + 1))
     # ok: every count column agrees and no generator count jumps by more than one

@@ -26,6 +26,7 @@ on spanning probe states.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Optional
@@ -242,7 +243,15 @@ FockMonomial = tuple[tuple[int, str], ...]
 
 
 class FockState:
-    """Integer linear combination of commuting creation monomials."""
+    """Integer linear combination of commuting creation monomials.
+
+    Invariant: `terms` maps sorted monomials to non-zero integer
+    coefficients, and every factor has level >= 1 and a label of
+    `surface`. Only this public constructor validates and canonicalises
+    its input; `create`, `annihilate`, `+`, `-` and `k *` start from
+    states that already hold the invariant and build canonical terms
+    directly through `_of`, which checks nothing.
+    """
 
     __slots__ = ("surface", "terms")
 
@@ -259,6 +268,14 @@ class FockState:
         self.surface = surface
         self.terms = {m: c for m, c in clean.items() if c}
 
+    @classmethod
+    def _of(cls, surface: SurfaceModel, terms: dict) -> "FockState":
+        """A state whose `terms` already hold the invariant; nothing is checked."""
+        state = object.__new__(cls)
+        state.surface = surface
+        state.terms = terms
+        return state
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -274,17 +291,28 @@ class FockState:
             and self.terms == other.terms
         )
 
-    def __add__(self, other: "FockState") -> "FockState":
+    def _plus(self, other: "FockState", sign: int) -> "FockState":
         merged = dict(self.terms)
         for mono, c in other.terms.items():
-            merged[mono] = merged.get(mono, 0) + c
-        return FockState(self.surface, merged)
+            c = merged.get(mono, 0) + sign * c
+            if c:
+                merged[mono] = c
+            else:
+                del merged[mono]
+        if other.surface is not self.surface:
+            # other's labels were checked against its own surface only
+            return FockState(self.surface, merged)
+        return FockState._of(self.surface, merged)
+
+    def __add__(self, other: "FockState") -> "FockState":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "FockState") -> "FockState":
-        return self + (-1) * other
+        return self._plus(other, -1)
 
     def __rmul__(self, k: int) -> "FockState":
-        return FockState(self.surface, {m: k * c for m, c in self.terms.items()})
+        terms = {m: k * c for m, c in self.terms.items()} if k else {}
+        return FockState._of(self.surface, terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -305,44 +333,48 @@ def vacuum(surface: SurfaceModel) -> FockState:
 
 
 def create(state: FockState, m: int, gamma: str) -> FockState:
-    """Multiply by the creation generator a_{-m}(gamma)."""
+    """Multiply by the creation generator a_{-m}(gamma).
+
+    The factor is inserted at its sorted place in every monomial; distinct
+    monomials stay distinct, so no coefficient merges or vanishes.
+    """
     if m < 1:
         raise ValueError(f"creation level must be at least 1: {m}")
     state.surface.degree(gamma)
-    return FockState(
-        state.surface,
-        {
-            tuple(sorted(mono + ((m, gamma),))): c
-            for mono, c in state.terms.items()
-        },
-    )
+    factor = (m, gamma)
+    out = {}
+    for mono, c in state.terms.items():
+        pos = bisect(mono, factor)
+        out[mono[:pos] + (factor,) + mono[pos:]] = c
+    return FockState._of(state.surface, out)
 
 
 def annihilate(state: FockState, m: int, alpha: str) -> FockState:
     """Apply a_m(alpha) as a derivation; kills the vacuum.
 
     Each matching factor a_{-m}(beta) is removed once, contributing its
-    multiplicity times c_m <alpha, beta>.
+    multiplicity times c_m <alpha, beta>. Every beta of a state was checked
+    when it entered, so the pairing is read without re-validating it.
     """
     if m < 1:
         raise ValueError(f"annihilation level must be at least 1: {m}")
     surface = state.surface
     surface.degree(alpha)
+    pairing = surface._pairing
     cm = nakajima_closed_form(m)
     out: dict[FockMonomial, int] = {}
     for mono, c in state.terms.items():
-        seen = set()
-        for pos, (level, beta) in enumerate(mono):
-            if level != m or (level, beta) in seen:
+        prev = None
+        for pos, factor in enumerate(mono):
+            # equal factors are adjacent in a sorted monomial
+            if factor[0] != m or factor == prev:
                 continue
-            seen.add((level, beta))
-            ip = surface.pair(alpha, beta)
-            if ip == 0:
-                continue
-            mult = mono.count((level, beta))
-            reduced = mono[:pos] + mono[pos + 1 :]
-            out[reduced] = out.get(reduced, 0) + c * mult * cm * ip
-    return FockState(surface, out)
+            prev = factor
+            ip = pairing.get((alpha, factor[1]))
+            if ip:
+                reduced = mono[:pos] + mono[pos + 1 :]
+                out[reduced] = out.get(reduced, 0) + c * mono.count(factor) * cm * ip
+    return FockState._of(surface, {mono: c for mono, c in out.items() if c})
 
 
 def basis_monomials(surface: SurfaceModel, max_t: int) -> list[FockMonomial]:

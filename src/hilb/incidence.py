@@ -90,7 +90,11 @@ def euler_incidence(n: int) -> int:
     Pairs, summed generator counts at size n, and summed socle counts at
     size n+1 must agree; disagreement raises ConsistencyError.
     """
-    pair_count = len(nested_pairs(n))
+    return _confirmed_pair_count(n, len(nested_pairs(n)))
+
+
+def _confirmed_pair_count(n: int, pair_count: int) -> int:
+    """pair_count, once the generator and socle sums at n agree with it."""
     gen_sum = sum(local_generator_count(lam) for lam in enumerate_partitions(n))
     socle_sum = sum(socle_count(mu) for mu in enumerate_partitions(n + 1))
     if not pair_count == gen_sum == socle_sum:

@@ -105,9 +105,9 @@ def _colored_partition_counts(colors: int, tmax: int) -> list[int]:
     # Independent Euler route: n*a_n = colors * sum sigma(k) a_{n-k}.
     out = [1]
     for n in range(1, tmax + 1):
-        out.append(
-            sum(colors * _sigma(k) * out[n - k] for k in range(1, n + 1)) // n
-        )
+        total = sum(colors * _sigma(k) * out[n - k] for k in range(1, n + 1))
+        _expect(total % n == 0, "divisor sum {} at n={} not divisible by n", total, n)
+        out.append(total // n)
     return out
 
 

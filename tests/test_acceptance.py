@@ -50,8 +50,8 @@ ROWS = [
      "punctual locus: top cell n-1, cell count p(n), for n <= 25"),
     (7, "goettsche-vs-fixed-points", 6, "n<=6", 60.0,
      "fixed-point Betti numbers equal the product-series slices, n <= 6"),
-    (8, "chamber-independence", 8, "affine n<=8, p2 n<=8", None,
-     "Betti polynomials identical across 3 generic subgroups, n <= 8"),
+    (8, "chamber-independence", 12, "affine n<=12, p2 n<=8", None,
+     "Betti polynomials identical across 3 generic subgroups, affine n <= 12, P2 n <= 8"),
     (9, "euler-incidence", 20, "n<=20", 5.0,
      "|nested pairs| = sum of generators = sum of socles for n <= 20"),
     (10, "commutators", 6, "m,k<=5", None,

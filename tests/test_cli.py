@@ -153,6 +153,32 @@ def test_incidence_specific_checks(capsys):
         assert record["payload"]["columns"] == columns
 
 
+def test_incidence_builds_pairs_once_and_checks_the_sums(capsys, monkeypatch):
+    from hilb import incidence
+
+    calls = []
+    original = incidence.nested_pairs
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(cli, "nested_pairs", counted)
+    monkeypatch.setattr(incidence, "nested_pairs", counted)
+    for check in ("jumps", "euler", "fibers", "all"):
+        calls.clear()
+        code, record = run_json(capsys, ["incidence", "--n", "5", "--check", check])
+        assert code == 0 and record["payload"]["passed"] is True
+        assert calls == list(range(6))
+    monkeypatch.setattr(incidence, "socle_count", lambda mu: 0)
+    for check in ("euler", "all"):
+        code, out, err = run(capsys, ["incidence", "--n", "3", "--check", check])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: incidence count mismatch at n=0: pairs 1, generator sum 1, socle sum 0\n"
+        )
+
+
 def test_strata_frozen(capsys):
     code, record = run_json(capsys, ["strata", "--n", "2"])
     assert code == 0

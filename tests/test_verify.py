@@ -18,7 +18,6 @@ CAP_ROWS = [
     ("hilbert-burch", 15, "n<=15"),
     ("tangent-weights", 10, "n<=10"),
     ("affine-closed-form", 12, "n<=12"),
-    ("chamber-independence", 12, "affine n<=12, p2 n<=8"),
 ]
 
 # A wrong stand-in for one library function, seen from hilb.verify, and the
