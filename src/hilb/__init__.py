@@ -87,6 +87,7 @@ from .heisenberg import (
     annihilate,
     basis_monomials,
     commutator_check,
+    commutator_checks,
     create,
     fock_character,
     goettsche_series,
@@ -168,6 +169,7 @@ __all__ = [
     "annihilate",
     "basis_monomials",
     "commutator_check",
+    "commutator_checks",
     "create",
     "fock_character",
     "goettsche_series",

@@ -19,8 +19,10 @@ Annihilation operators act as derivations with
     [a_m(alpha), a_{-k}(beta)] = delta_{mk} * c_m * <alpha, beta> * id,
 
 where c_m is the m-th Nakajima constant, imported from the intersection
-calculus rather than re-derived; commutator_check verifies the relation
-on spanning probe states.
+calculus rather than re-derived; commutator_checks verifies the relation
+on spanning probe states for a list of (m, k, alpha, beta), sharing each
+probe's creation and annihilation images within one call, and
+commutator_check is its one-quadruple case.
 """
 
 from __future__ import annotations
@@ -292,13 +294,7 @@ class FockState:
         )
 
     def _plus(self, other: "FockState", sign: int) -> "FockState":
-        merged = dict(self.terms)
-        for mono, c in other.terms.items():
-            c = merged.get(mono, 0) + sign * c
-            if c:
-                merged[mono] = c
-            else:
-                del merged[mono]
+        merged = _merged(self.terms, other.terms, sign)
         if other.surface is not self.surface:
             # other's labels were checked against its own surface only
             return FockState(self.surface, merged)
@@ -332,38 +328,43 @@ def vacuum(surface: SurfaceModel) -> FockState:
     return FockState(surface, {(): 1})
 
 
-def create(state: FockState, m: int, gamma: str) -> FockState:
-    """Multiply by the creation generator a_{-m}(gamma).
+def _merged(a: dict, b: dict, sign: int) -> dict:
+    """Canonical terms of a + sign * b, for canonical a and b."""
+    merged = dict(a)
+    for mono, c in b.items():
+        c = merged.get(mono, 0) + sign * c
+        if c:
+            merged[mono] = c
+        else:
+            del merged[mono]
+    return merged
 
-    The factor is inserted at its sorted place in every monomial; distinct
-    monomials stay distinct, so no coefficient merges or vanishes.
-    """
+
+def _check_level(m: int, kind: str) -> None:
     if m < 1:
-        raise ValueError(f"creation level must be at least 1: {m}")
-    state.surface.degree(gamma)
-    factor = (m, gamma)
+        raise ValueError(f"{kind} level must be at least 1: {m}")
+
+
+def _created(terms: dict, factor: tuple[int, str]) -> dict:
+    """Canonical terms times one valid factor, inserted at its sorted place.
+
+    Distinct monomials stay distinct, so no coefficient merges or vanishes.
+    """
     out = {}
-    for mono, c in state.terms.items():
+    for mono, c in terms.items():
         pos = bisect(mono, factor)
         out[mono[:pos] + (factor,) + mono[pos:]] = c
-    return FockState._of(state.surface, out)
+    return out
 
 
-def annihilate(state: FockState, m: int, alpha: str) -> FockState:
-    """Apply a_m(alpha) as a derivation; kills the vacuum.
+def _annihilated(terms: dict, m: int, alpha: str, pairing: dict, cm: int) -> dict:
+    """Canonical terms under a_m(alpha), with c_m = cm and the surface's pairing.
 
     Each matching factor a_{-m}(beta) is removed once, contributing its
-    multiplicity times c_m <alpha, beta>. Every beta of a state was checked
-    when it entered, so the pairing is read without re-validating it.
+    multiplicity times c_m <alpha, beta>.
     """
-    if m < 1:
-        raise ValueError(f"annihilation level must be at least 1: {m}")
-    surface = state.surface
-    surface.degree(alpha)
-    pairing = surface._pairing
-    cm = nakajima_closed_form(m)
     out: dict[FockMonomial, int] = {}
-    for mono, c in state.terms.items():
+    for mono, c in terms.items():
         prev = None
         for pos, factor in enumerate(mono):
             # equal factors are adjacent in a sorted monomial
@@ -374,7 +375,27 @@ def annihilate(state: FockState, m: int, alpha: str) -> FockState:
             if ip:
                 reduced = mono[:pos] + mono[pos + 1 :]
                 out[reduced] = out.get(reduced, 0) + c * mono.count(factor) * cm * ip
-    return FockState._of(surface, {mono: c for mono, c in out.items() if c})
+    return {mono: c for mono, c in out.items() if c}
+
+
+def create(state: FockState, m: int, gamma: str) -> FockState:
+    """Multiply by the creation generator a_{-m}(gamma)."""
+    _check_level(m, "creation")
+    state.surface.degree(gamma)
+    return FockState._of(state.surface, _created(state.terms, (m, gamma)))
+
+
+def annihilate(state: FockState, m: int, alpha: str) -> FockState:
+    """Apply a_m(alpha) as a derivation; kills the vacuum.
+
+    Every beta of a state was checked when it entered, so the pairing is
+    read without re-validating it.
+    """
+    _check_level(m, "annihilation")
+    surface = state.surface
+    surface.degree(alpha)
+    terms = _annihilated(state.terms, m, alpha, surface._pairing, nakajima_closed_form(m))
+    return FockState._of(surface, terms)
 
 
 def basis_monomials(surface: SurfaceModel, max_t: int) -> list[FockMonomial]:
@@ -415,6 +436,61 @@ class CommutatorReport:
         return not self.failures
 
 
+def commutator_checks(
+    surface: SurfaceModel,
+    quads: Iterable[tuple[int, int, str, str]],
+    probes: Optional[Iterable[FockState]] = None,
+) -> list[CommutatorReport]:
+    """Verify [a_m(alpha), a_{-k}(beta)] on probe states, one report per quadruple.
+
+    Each (m, k, alpha, beta) must act as delta_{mk} * c_m * <alpha, beta>
+    times the identity. Every level and label is validated before any
+    probe is touched. Within one call each probe's image under a_{-k}(beta)
+    is computed once per (k, beta) and under a_m(alpha) once per
+    (m, alpha), and shared by every quadruple that needs it; nothing is
+    kept after the call. Default probes span every monomial of `surface`
+    through t-weight 6.
+    """
+    checked = []
+    for m, k, alpha, beta in quads:
+        _check_level(m, "annihilation")
+        _check_level(k, "creation")
+        ip = surface.pair(alpha, beta)
+        cm = nakajima_closed_form(m)
+        checked.append((m, k, alpha, beta, cm, cm * ip if m == k else 0))
+    if probes is None:
+        probes = [FockState(surface, {mono: 1}) for mono in basis_monomials(surface, 6)]
+    probes = list(probes)
+    terms = [probe.terms for probe in probes]
+    pairing = surface._pairing
+    created: dict[tuple[int, str], list[dict]] = {}
+    annihilated: dict[tuple[int, str], list[dict]] = {}
+    expected: dict[int, list[dict]] = {}
+    reports = []
+    for m, k, alpha, beta, cm, scalar in checked:
+        factor = (k, beta)
+        if factor not in created:
+            created[factor] = [_created(t, factor) for t in terms]
+        if (m, alpha) not in annihilated:
+            annihilated[m, alpha] = [
+                _annihilated(t, m, alpha, pairing, cm) for t in terms
+            ]
+        if scalar not in expected:
+            expected[scalar] = [(scalar * probe).terms for probe in probes]
+        want = expected[scalar]
+        failures = []
+        for idx, (up, down) in enumerate(zip(created[factor], annihilated[m, alpha])):
+            lhs = _merged(
+                _annihilated(up, m, alpha, pairing, cm), _created(down, factor), -1
+            )
+            if lhs != want[idx]:
+                failures.append(idx)
+        reports.append(
+            CommutatorReport(m, k, alpha, beta, scalar, len(probes), tuple(failures))
+        )
+    return reports
+
+
 def commutator_check(
     surface: SurfaceModel,
     m: int,
@@ -426,20 +502,8 @@ def commutator_check(
     """Verify the commutation relation on probe states.
 
     Expected action: delta_{mk} * c_m * <alpha, beta> * identity. Default
-    probes span every monomial through t-weight 6.
+    probes span every monomial through t-weight 6. This is the
+    one-quadruple case of commutator_checks, which shares each probe's
+    images across many quadruples within one call.
     """
-    if probes is None:
-        probes = [
-            FockState(surface, {mono: 1})
-            for mono in basis_monomials(surface, 6)
-        ]
-    probes = list(probes)
-    scalar = nakajima_closed_form(m) * surface.pair(alpha, beta) if m == k else 0
-    failures = []
-    for idx, probe in enumerate(probes):
-        lhs = annihilate(create(probe, k, beta), m, alpha) - create(
-            annihilate(probe, m, alpha), k, beta
-        )
-        if lhs != scalar * probe:
-            failures.append(idx)
-    return CommutatorReport(m, k, alpha, beta, scalar, len(probes), tuple(failures))
+    return commutator_checks(surface, [(m, k, alpha, beta)], probes)[0]

@@ -26,7 +26,7 @@ from .heisenberg import (
     FockState,
     SurfaceModel,
     basis_monomials,
-    commutator_check,
+    commutator_checks,
     fock_character,
     goettsche_series,
     k3_surface,
@@ -329,23 +329,31 @@ def check_commutators(mk: int, depth: int) -> str:
         FockState(surface, {mono: 1}) for mono in basis_monomials(surface, depth)
     ]
     labels = surface.labels()
-    for m in range(1, mk + 1):
-        for k in range(1, mk + 1):
-            for alpha in labels:
-                for beta in labels:
-                    rep = commutator_check(surface, m, k, alpha, beta, probes)
-                    _expect(rep.passed, "[a_{}({}), a_-{}({})]", m, alpha, k, beta)
+    quads = [
+        (m, k, alpha, beta)
+        for m in range(1, mk + 1)
+        for k in range(1, mk + 1)
+        for alpha in labels
+        for beta in labels
+    ]
+    for rep in commutator_checks(surface, quads, probes):
+        _expect(rep.passed, "[a_{}({}), a_-{}({})]", rep.m, rep.alpha, rep.k, rep.beta)
     skew = SurfaceModel((1, 0, 2, 0, 1), ((0, 1), (1, 0)), ("f1", "f2"))
     probes2 = [
         FockState(skew, {mono: 1}) for mono in basis_monomials(skew, min(depth, 4))
     ]
-    for m in range(1, min(mk, 3) + 1):
-        for alpha in skew.labels():
-            for beta in skew.labels():
-                rep = commutator_check(skew, m, m, alpha, beta, probes2)
-                _expect(
-                    rep.passed, "skew model [a_{}({}), a_-{}({})]", m, alpha, m, beta
-                )
+    labels = skew.labels()
+    quads = [
+        (m, m, alpha, beta)
+        for m in range(1, min(mk, 3) + 1)
+        for alpha in labels
+        for beta in labels
+    ]
+    for rep in commutator_checks(skew, quads, probes2):
+        _expect(
+            rep.passed,
+            "skew model [a_{}({}), a_-{}({})]", rep.m, rep.alpha, rep.m, rep.beta,
+        )
     return f"{len(probes)} probes on the plane model, {len(probes2)} on the skew model"
 
 

@@ -1,11 +1,10 @@
 """The check registry behind `hilb verify`: caps, order, errors and failure paths."""
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from hilb import cli, verify
+from hilb import CommutatorReport, cli, verify
 from hilb.verify import ALL_CHECKS, run_checks
 from test_acceptance import ROWS
 
@@ -29,7 +28,10 @@ BROKEN = [
      "(1): generators 0, socle 1, distinct 1, conjugate 0"),
     ("fock-character", "fock_character", lambda surface, top: None,
      "betti (1, 0, 1, 0, 1)"),
-    ("commutators", "commutator_check", lambda *args: SimpleNamespace(passed=False),
+    ("commutators", "commutator_checks",
+     lambda surface, quads, probes: [
+         CommutatorReport(m, k, alpha, beta, 0, 1, (0,)) for m, k, alpha, beta in quads
+     ],
      "[a_1(1), a_-1(1)]"),
     ("nakajima", "nakajima_closed_form", lambda n: 0, "mismatch at n=1"),
     ("partition-counts", "pentagonal_partition_count", lambda n: n + 7, "p(0): 1 != 7"),
@@ -90,6 +92,25 @@ def test_broken_library_fails_its_check(monkeypatch, check, attr, fake, detail):
     monkeypatch.setattr(verify, attr, fake)
     [bad] = run_checks(4, [check])
     assert (bad.name, bad.scope, bad.passed, bad.detail) == (check, good.scope, False, detail)
+
+
+@pytest.mark.parametrize(
+    "nmax, n_quads, n_probes", [(3, 129, 5_667), (4, 192, 20_256), (6, 273, 101_247)]
+)
+def test_commutators_probe_counts(monkeypatch, nmax, n_quads, n_probes):
+    # sharing images across quadruples must not drop a single comparison
+    real, reports = verify.commutator_checks, []
+
+    def counted(surface, quads, probes):
+        got = real(surface, quads, probes)
+        reports.extend(got)
+        return got
+
+    monkeypatch.setattr(verify, "commutator_checks", counted)
+    [result] = run_checks(nmax, ["commutators"])
+    assert result.passed
+    assert len(reports) == n_quads
+    assert sum(rep.probes_checked for rep in reports) == n_probes
 
 
 def test_cli_verify_exits_1_and_names_the_failure(monkeypatch, capsys):
