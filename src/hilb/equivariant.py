@@ -176,6 +176,20 @@ def generic_rho(weight_lists: list[list[CharVector]], n: int) -> CharVector:
 CellTable = dict[int, dict[int, int]]
 
 
+def _arm_legs(lam: Partition) -> list[tuple[int, int]]:
+    """(arm, leg) of every box of lam, row-major; legs read off the conjugate."""
+    cols = lam.column_lengths()
+    return [(p - c - 1, cols[c] - r - 1) for r, p in enumerate(lam.parts) for c in range(p)]
+
+
+def _box_weights(a: int, l: int, u: CharVector, v: CharVector) -> tuple[CharVector, CharVector]:
+    """The two tangent weights of a box with arm a and leg l, as in tangent_weights."""
+    return (
+        CharVector((a + 1) * u.a - l * v.a, (a + 1) * u.b - l * v.b),
+        CharVector(-a * u.a + (l + 1) * v.a, -a * u.b + (l + 1) * v.b),
+    )
+
+
 def cell_tables(
     space: str, n: int, rho: Optional[CharVector] = None
 ) -> tuple[CharVector, list[CellTable]]:
@@ -183,10 +197,15 @@ def cell_tables(
 
     space "affine" has the single chart of the plane at size n; "p2" has
     the three charts of the projective plane at every size n..0, since a
-    fixed point spreads n points over them. The tangent weights of each
-    (chart, partition) are computed once: with rho omitted they choose a
-    wall-free subgroup by generic_rho over exactly the weights of all
-    fixed points, and an explicit rho on a wall raises NonGenericError.
+    fixed point spreads n points over them. The (arm, leg) list of each
+    partition is computed once and shared by every chart. A chart pairs
+    rho with its characters u and v once, to pu and pv; the two weights
+    of a box then pair to (a+1)*pu - l*pv and (l+1)*pv - a*pu, worked out
+    once per distinct (arm, leg) pair. With rho omitted, generic_rho
+    chooses a wall-free subgroup over exactly the weights of all fixed
+    points; an explicit rho on a wall raises NonGenericError naming its
+    first zero weight in chart, size, partition and box order, as
+    cell_dimension over tangent_weights does.
     """
     if n < 0:
         raise ValueError(f"negative length: {n}")
@@ -196,19 +215,33 @@ def cell_tables(
         charts, sizes = P2_CHART_WEIGHTS, range(n, -1, -1)
     else:
         raise ValueError(f"no cell tables for space {space!r}")
-    weights = [
-        {s: [tangent_weights(lam, u, v) for lam in enumerate_partitions(s)] for s in sizes}
-        for u, v in charts
-    ]
+    hooks = {s: [_arm_legs(lam) for lam in enumerate_partitions(s)] for s in sizes}
+    pairs = {h for hl in hooks.values() for hs in hl for h in hs}
     if rho is None:
-        rho = generic_rho([ws for chart in weights for wl in chart.values() for ws in wl], n)
+        rho = generic_rho(
+            [[w for h in pairs for w in _box_weights(*h, u, v)] for u, v in charts], n
+        )
+    rho = CharVector(*rho)
+    if n == 0 and rho == (0, 0):
+        # no weight to name; at n > 0 the wall scan below names the first
+        raise NonGenericError(
+            "non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with every weight"
+        )
     tables = []
-    for chart in weights:
+    for u, v in charts:
+        pu, pv = rho.a * u.a + rho.b * u.b, rho.a * v.a + rho.b * v.b
+        pairings = {(a, l): ((a + 1) * pu - l * pv, (l + 1) * pv - a * pu) for a, l in pairs}
+        if not all(p1 and p2 for p1, p2 in pairings.values()):
+            # rho is on a wall: cell_dimension raises at its first zero weight
+            for hl in hooks.values():
+                for hs in hl:
+                    cell_dimension([w for h in hs for w in _box_weights(*h, u, v)], rho)
+        neg = {h: (p1 < 0) + (p2 < 0) for h, (p1, p2) in pairings.items()}
         table: CellTable = {}
-        for s, wl in chart.items():
+        for s, hl in hooks.items():
             counts = table[s] = {}
-            for ws in wl:
-                d = cell_dimension(ws, rho)
+            for hs in hl:
+                d = sum(map(neg.__getitem__, hs))
                 counts[d] = counts.get(d, 0) + 1
         tables.append(table)
     return rho, tables

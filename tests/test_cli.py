@@ -99,22 +99,33 @@ def test_betti_non_generic_rho_rejected(capsys):
     assert "non-generic" in err
 
 
+@pytest.mark.parametrize("space", ["affine", "p2"])
+def test_betti_zero_rho_rejected_at_n_0(capsys, space):
+    code, out, err = run(capsys, ["betti", "--space", space, "--n", "0", "--rho", "0,0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: non-generic one-parameter subgroup: rho=(0, 0)")
+
+
 def test_betti_computes_each_weight_list_once(capsys, monkeypatch):
     from hilb import equivariant, pentagonal_partition_count
 
     calls = []
-    original = equivariant.tangent_weights
+    original = equivariant._arm_legs
 
-    def counted(lam, u, v):
-        calls.append((tuple(lam), u, v))
-        return original(lam, u, v)
+    def counted(lam):
+        calls.append(lam)
+        return original(lam)
 
-    monkeypatch.setattr(equivariant, "tangent_weights", counted)
+    def unused(*args):
+        raise AssertionError("betti must not build tangent weight lists")
+
+    monkeypatch.setattr(equivariant, "_arm_legs", counted)
+    monkeypatch.setattr(equivariant, "tangent_weights", unused)
     code, record = run_json(capsys, ["betti", "--space", "p2", "--n", "4"])
     assert code == 0
     assert record["parameters"]["rho"] == [1, 33]
-    # one weight list per chart and per partition of every size 0..4
-    assert len(calls) == len(set(calls)) == 3 * sum(
+    # one (arm, leg) list per partition of every size 0..4, shared by the charts
+    assert len(calls) == len(set(calls)) == sum(
         pentagonal_partition_count(s) for s in range(5)
     )
     calls.clear()

