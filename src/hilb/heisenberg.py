@@ -406,8 +406,9 @@ def basis_monomials(surface: SurfaceModel, max_t: int) -> list[FockMonomial]:
     out: list[FockMonomial] = []
 
     def rec(i: int, budget: int, acc: list):
-        if i == len(gens):
-            out.append(tuple(acc))
+        # gens ascend by level: once one exceeds the budget, so do the rest
+        if i == len(gens) or gens[i][0] > budget:
+            out.append(tuple(sorted(acc)))
             return
         level = gens[i][0]
         copies = 0
@@ -416,7 +417,7 @@ def basis_monomials(surface: SurfaceModel, max_t: int) -> list[FockMonomial]:
             copies += 1
 
     rec(0, max_t, [])
-    return [tuple(sorted(mono)) for mono in out]
+    return out
 
 
 @dataclass(frozen=True)

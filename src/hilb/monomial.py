@@ -70,9 +70,7 @@ class StaircaseIdeal:
     def contains(self, m: Monomial) -> bool:
         """Membership: the monomial lies outside the diagram."""
         parts = self.shape.parts
-        if m.yexp >= len(parts):
-            return True
-        return m.xexp >= parts[m.yexp]
+        return m.yexp >= len(parts) or m.xexp >= parts[m.yexp]
 
     def quotient_basis(self) -> list[Monomial]:
         """Monomials inside the diagram, row-major."""
@@ -81,16 +79,15 @@ class StaircaseIdeal:
     def socle(self) -> list[Monomial]:
         """Quotient monomials killed by both x and y, row-major.
 
-        Only the last box of a row can be killed by x, so those are the
-        only candidates; each is still tested against the ideal both ways.
+        Only the last box (x, y) of a row can be killed by x; each is tested
+        against the ideal both ways on its exponents, so only the socle is built.
         """
+        parts = self.shape.parts
         out = []
-        for row, part in enumerate(self.shape.parts):
-            m = Monomial(part - 1, row)
-            if self.contains(Monomial(m.xexp + 1, m.yexp)) and self.contains(
-                Monomial(m.xexp, m.yexp + 1)
-            ):
-                out.append(m)
+        for y, part in enumerate(parts):
+            x = part - 1
+            if x + 1 >= parts[y] and (y + 1 >= len(parts) or x >= parts[y + 1]):
+                out.append(Monomial(x, y))
         return out
 
 
@@ -108,7 +105,7 @@ def staircase(lam) -> StaircaseIdeal:
         if parts[b] < parts[b - 1]:
             gens.append(Monomial(parts[b], b))
     gens.append(Monomial(0, len(parts)))
-    gens.sort(key=lambda m: m.xexp)
+    gens.sort()
     return StaircaseIdeal(lam, tuple(gens))
 
 

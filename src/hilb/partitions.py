@@ -16,6 +16,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
@@ -28,22 +29,12 @@ class Box(NamedTuple):
 
 
 class Partition:
-    """Weakly decreasing tuple of positive parts, with cached size."""
+    """Weakly decreasing tuple of positive integer parts, with cached size."""
 
     __slots__ = ("parts", "size")
 
-    def __init__(self, parts: Iterable[int] = ()):
-        pts = tuple(map(int, parts))
-        # A weakly decreasing tuple whose last part is positive is valid;
-        # anything else goes through the part-by-part scan for its error.
-        if pts and (pts[-1] <= 0 or pts != tuple(sorted(pts, reverse=True))):
-            for i, p in enumerate(pts):
-                if p <= 0:
-                    raise ValueError(f"parts must be positive integers, got {p}")
-                if i > 0 and pts[i - 1] < p:
-                    raise ValueError(f"parts must be weakly decreasing, got {pts}")
-        self.parts = pts
-        self.size = sum(pts)
+    def __new__(cls, parts: Iterable[int] = ()):
+        return _shaped(tuple(map(_part, parts)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
@@ -59,9 +50,6 @@ class Partition:
 
     def __getitem__(self, i: int) -> int:
         return self.parts[i]
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
 
     def __repr__(self) -> str:
         return f"Partition{self.parts!r}"
@@ -95,7 +83,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose the diagram."""
-        return Partition(self.column_lengths())
+        return _shaped(tuple(self.column_lengths()))
 
     def column_lengths(self) -> list[int]:
         """Column heights, left to right: the parts of the conjugate.
@@ -118,7 +106,7 @@ class Partition:
         """Diagram containment, box by box."""
         if len(other.parts) > len(self.parts):
             return False
-        return all(o <= s for o, s in zip(other.parts, self.parts))
+        return all(map(operator.le, other.parts, self.parts))
 
     def covers(self) -> list["Partition"]:
         """Partitions of size+1 whose diagram adds one box, by ascending row.
@@ -126,18 +114,13 @@ class Partition:
         There is one per addable corner; the count is always the number
         of distinct part values plus one (the new-row slot).
         """
+        parts = self.parts
         out = []
-        n_rows = len(self.parts)
-        for r in range(n_rows + 1):
-            cur = self.parts[r] if r < n_rows else 0
-            if r > 0 and self.parts[r - 1] == cur:
+        for r in range(len(parts) + 1):
+            cur = parts[r] if r < len(parts) else 0
+            if r > 0 and parts[r - 1] == cur:
                 continue
-            grown = list(self.parts)
-            if r < n_rows:
-                grown[r] += 1
-            else:
-                grown.append(1)
-            out.append(Partition(grown))
+            out.append(_shaped(parts[:r] + (cur + 1,) + parts[r + 1 :]))
         return out
 
     def cocovers(self) -> list["Partition"]:
@@ -148,18 +131,37 @@ class Partition:
         """
         if not self.parts:
             raise ValueError("no cocovers: the empty partition has no removable box")
+        parts = self.parts
         out = []
-        n_rows = len(self.parts)
-        for r in range(n_rows):
-            below = self.parts[r + 1] if r + 1 < n_rows else 0
-            if self.parts[r] == below:
+        for r, p in enumerate(parts):
+            if p == (parts[r + 1] if r + 1 < len(parts) else 0):
                 continue
-            shrunk = list(self.parts)
-            shrunk[r] -= 1
-            if shrunk[r] == 0:
-                shrunk.pop()
-            out.append(Partition(shrunk))
+            out.append(_shaped(parts[:r] + ((p - 1,) if p > 1 else ()) + parts[r + 1 :]))
         return out
+
+
+def _part(p) -> int:
+    """One part as an int; a part that is not an integer is a ValueError."""
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise ValueError(f"parts must be positive integers, got {p!r}") from None
+
+
+def _shaped(pts: tuple[int, ...]) -> Partition:
+    """Shape-check parts already made ints; every Partition is built here."""
+    # A weakly decreasing tuple whose last part is positive is valid;
+    # anything else goes through the part-by-part scan for its error.
+    if pts and (pts[-1] <= 0 or pts != tuple(sorted(pts, reverse=True))):
+        for i, p in enumerate(pts):
+            if p <= 0:
+                raise ValueError(f"parts must be positive integers, got {p}")
+            if i > 0 and pts[i - 1] < p:
+                raise ValueError(f"parts must be weakly decreasing, got {pts}")
+    lam = object.__new__(Partition)
+    lam.parts = pts
+    lam.size = sum(pts)
+    return lam
 
 
 def as_partition(lam) -> Partition:
@@ -174,7 +176,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
-    return [Partition(p) for p in _descending_lex(n)]
+    return list(map(_shaped, _descending_lex(n)))
 
 
 def _descending_lex(n: int) -> Iterator[tuple[int, ...]]:

@@ -1,6 +1,8 @@
 """Command-line front end: formats, determinism, exit codes, frozen outputs."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +333,15 @@ def test_json_is_sorted_and_typed(capsys):
     assert out == json.dumps(record, indent=2, sort_keys=True) + "\n"
     # vacuous bounds serialize as JSON null, never 0
     assert record["payload"]["rows"][-1][1] is None
+
+
+def test_cli_output_matches_bench_goldens(capsys):
+    # the benchmark's record of every cli-oneshot call: stdout byte for byte
+    goldens = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
+    entries = json.loads(goldens.read_text())["cli-oneshot"]
+    assert len(entries) == 51
+    for key, want in entries.items():
+        code, out, _ = run(capsys, key.split())
+        stdout = out.encode()
+        got = {"sha256": hashlib.sha256(stdout).hexdigest(), "bytes": len(stdout), "exit": code}
+        assert got == want, key

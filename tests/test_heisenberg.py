@@ -1,5 +1,7 @@
 """Generating series, Fock-space operators, and commutator scalars."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +211,29 @@ def test_basis_monomials_counts():
         by_t[t] = by_t.get(t, 0) + 1
     assert by_t == {0: 1, 1: 3, 2: 9, 3: 22, 4: 51}
     assert len(set(monos)) == len(monos)
+
+
+def brute_basis_monomials(surface, max_t):
+    # independent route: every multiset of generators of t-weight <= max_t,
+    # in the order of its multiplicity vector over the generators
+    gens = [(m, label) for m in range(1, max_t + 1) for label in surface.labels()]
+    monos = [
+        tuple(sorted(mono))
+        for size in range(max_t + 1)
+        # a multiset of `size` generators has no level above max_t - size + 1
+        for mono in itertools.combinations_with_replacement(
+            [g for g in gens if g[0] <= max_t - size + 1], size
+        )
+        if sum(level for level, _ in mono) <= max_t
+    ]
+    return sorted(monos, key=lambda mono: [mono.count(g) for g in gens])
+
+
+def test_basis_monomials_match_brute_force():
+    # K3 stops at depth 4: depth 5 has 205,455 monomials
+    for surface, top in ((P2, 5), (K3, 4), (SKEW, 5)):
+        for depth in range(top + 1):
+            assert basis_monomials(surface, depth) == brute_basis_monomials(surface, depth)
 
 
 def test_commutator_scalars_frozen():

@@ -85,19 +85,25 @@ def test_generator_count_frozen():
         generator_count(Partition())
 
 
+def brute_socle(lam):
+    # independent route: boxes whose right and lower neighbours are both outside
+    return [
+        Monomial(c, r)
+        for r, c in lam.boxes()
+        if not lam.box_in((r, c + 1)) and not lam.box_in((r + 1, c))
+    ]
+
+
+def test_socle_against_box_scan():
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            assert staircase(lam).socle() == brute_socle(lam)
+
+
 def test_socle_count_frozen():
     assert socle_count(Partition((2, 2))) == 1
     assert socle_count(Partition((2, 1))) == 2
     assert socle_count(Partition((5, 3, 3, 1))) == 3
-
-
-def test_generator_socle_distinct_relation():
-    for n in range(1, 26):
-        for lam in enumerate_partitions(n):
-            g = generator_count(lam)
-            assert g == socle_count(lam) + 1
-            assert g == lam.distinct_part_count() + 1
-            assert generator_count(lam.conjugate()) == g
 
 
 def test_strata_index():
@@ -133,21 +139,6 @@ def test_hilbert_burch_hook_frozen():
     assert all(t.coeff in (1, -1) for t in minors)
 
 
-def test_hilbert_burch_minors_reproduce_generators():
-    for n in range(1, 16):
-        for lam in enumerate_partitions(n):
-            mat = hilbert_burch(lam)
-            assert mat.matches_generators()
-            minors = {
-                (t.monomial.xexp, t.monomial.yexp)
-                for t in mat.maximal_minors()
-            }
-            assert minors == {
-                (m.xexp, m.yexp) for m in staircase(lam).generators
-            }
-            assert all(t.coeff in (1, -1) for t in mat.maximal_minors())
-
-
 def test_hilbert_burch_shape():
     for n in range(1, 13):
         for lam in enumerate_partitions(n):
@@ -167,14 +158,6 @@ def test_hilbert_burch_shape():
 def test_hilbert_burch_rejects_unit_ideal():
     with pytest.raises(ValueError):
         hilbert_burch(Partition())
-
-
-def test_generator_jump_under_covers():
-    for n in range(21):
-        for lam in enumerate_partitions(n):
-            g = strata_index(lam, bool(lam.parts))
-            for mu in lam.covers():
-                assert abs(generator_count(mu) - g) <= 1
 
 
 def test_membership():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilb import Partition, enumerate_partitions, pentagonal_partition_count
+import hilb.partitions
+from hilb import Partition, enumerate_partitions, generator_count, pentagonal_partition_count
 
 
 def dp_partition_count(n):
@@ -39,6 +40,14 @@ def test_validation():
         Partition((3, -1))
     assert Partition().size == 0
     assert Partition((3, 1)).size == 4
+    # parts are coerced with operator.index: no truncation, no parsing
+    for bad, shown in (((2.5, 1), "2.5"), ((2.0,), "2.0"), (("3", "1"), "'3'")):
+        with pytest.raises(ValueError, match=f"^parts must be positive integers, got {shown}$"):
+            Partition(bad)
+    with pytest.raises(ValueError, match="got 2.9"):
+        generator_count([2.9, 1.2])
+    assert Partition((True, True)).parts == (1, 1)
+    assert type(Partition((True,)).parts[0]) is int
 
 
 def test_enumerate_small_frozen():
@@ -218,3 +227,32 @@ def test_validation_errors_name_the_first_fault():
 def test_column_lengths_are_conjugate(lam):
     assert tuple(lam.column_lengths()) == brute_conjugate(lam)
     assert lam.conjugate().parts == brute_conjugate(lam)
+
+
+def test_produced_partitions_equal_public_construction():
+    # the producers skip the coercion, not the shape check: each partition
+    # they make equals the one the public constructor builds from its parts
+    def same(lam):
+        public = Partition(lam.parts)
+        assert (lam.parts, lam.size) == (public.parts, public.size)
+        assert all(type(p) is int for p in lam.parts)
+
+    for n in range(21):
+        for lam in enumerate_partitions(n):
+            same(lam)
+            same(lam.conjugate())
+            for mu in lam.covers():
+                same(mu)
+            for nu in lam.cocovers() if lam else ():
+                same(nu)
+
+
+def test_enumeration_shape_checks_what_the_generator_yields(monkeypatch):
+    for bad, message in (((1, 2), "weakly decreasing"), ((2, 0), "positive")):
+        with pytest.raises(ValueError) as public:
+            Partition(bad)
+        assert message in str(public.value)
+        monkeypatch.setattr(hilb.partitions, "_descending_lex", lambda n, bad=bad: iter([bad]))
+        with pytest.raises(ValueError) as produced:
+            enumerate_partitions(3)
+        assert str(produced.value) == str(public.value)
