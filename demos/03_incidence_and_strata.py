@@ -15,7 +15,7 @@ from hilb import (
     check_codim_hypotheses,
     euler_incidence,
     gamma_fiber_dim,
-    local_generator_count,
+    generator_count,
     nested_pairs,
     phi_fiber_dim,
     strata_base,
@@ -27,8 +27,8 @@ print("=== Nested pairs at n = 3 ===")
 for pr in nested_pairs(3):
     print(
         f"  {str(pr.lower):10} in {str(pr.upper):12} "
-        f"generators {local_generator_count(pr.lower)} -> "
-        f"{local_generator_count(pr.upper)}"
+        f"generators {generator_count(pr.lower)} -> "
+        f"{generator_count(pr.upper)}"
     )
 
 print()

@@ -28,7 +28,6 @@ from .monomial import (
     hilbert_burch,
     socle_count,
     staircase,
-    strata_index,
 )
 from .equivariant import (
     AFFINE_CHART,
@@ -42,7 +41,6 @@ from .equivariant import (
     default_rho,
     fixed_points_p2,
     format_poly,
-    generic_rho,
     poincare_affine,
     poincare_from_tables,
     poincare_p2,
@@ -58,7 +56,6 @@ from .incidence import (
     check_codim_hypotheses,
     euler_incidence,
     gamma_fiber_dim,
-    local_generator_count,
     nested_pairs,
     phi_fiber_dim,
     strata_base,
@@ -114,7 +111,6 @@ __all__ = [
     "hilbert_burch",
     "socle_count",
     "staircase",
-    "strata_index",
     # equivariant cells
     "AFFINE_CHART",
     "P2_CHART_WEIGHTS",
@@ -127,7 +123,6 @@ __all__ = [
     "default_rho",
     "fixed_points_p2",
     "format_poly",
-    "generic_rho",
     "poincare_affine",
     "poincare_from_tables",
     "poincare_p2",
@@ -142,7 +137,6 @@ __all__ = [
     "check_codim_hypotheses",
     "euler_incidence",
     "gamma_fiber_dim",
-    "local_generator_count",
     "nested_pairs",
     "phi_fiber_dim",
     "strata_base",

@@ -29,7 +29,6 @@ from .heisenberg import SurfaceModel, goettsche_series
 from .incidence import (
     _confirmed_pair_count,
     check_codim_hypotheses,
-    local_generator_count,
     nested_pairs,
     strata_table,
 )
@@ -40,7 +39,7 @@ from .lattice import (
     nakajima_recurrence,
     p2_lattice,
 )
-from .monomial import socle_count
+from .monomial import generator_count, socle_count
 from .partitions import enumerate_partitions
 from .verify import run_checks
 
@@ -105,17 +104,14 @@ def _incidence_row(n: int, columns: list[str]) -> list:
     got: dict = {"n": n, "pairs": len(prs)}
     if "max_jump" in columns:
         got["max_jump"] = max(
-            (
-                abs(local_generator_count(p.upper) - local_generator_count(p.lower))
-                for p in prs
-            ),
+            (abs(generator_count(p.upper) - generator_count(p.lower)) for p in prs),
             default=0,
         )
     if "generator_sum" in columns:
         # raises ConsistencyError unless all three counts agree
         got["generator_sum"] = got["socle_sum"] = _confirmed_pair_count(n, len(prs))
     if "phi_fibers" in columns:
-        got["phi_fibers"] = sum(local_generator_count(lam) for lam in enumerate_partitions(n))
+        got["phi_fibers"] = sum(generator_count(lam) for lam in enumerate_partitions(n))
         got["gamma_fibers"] = sum(socle_count(mu) for mu in enumerate_partitions(n + 1))
     # ok: every count column agrees and no generator count jumps by more than one
     counts = {got[c] for c in columns[1:-1] if c != "max_jump"}

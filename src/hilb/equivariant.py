@@ -19,13 +19,10 @@ and the small-n projective values must come out right.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .partitions import Partition, as_partition, enumerate_partitions
-
-logger = logging.getLogger(__name__)
 
 
 class CharVector(NamedTuple):
@@ -155,20 +152,22 @@ P2_CHART_WEIGHTS: tuple[tuple[CharVector, CharVector], ...] = (
 
 
 def default_rho(n: int) -> CharVector:
-    """First candidate subgroup, steep enough to clear every wall up to n."""
+    """The subgroup (1, K), K = 2n^2 + 1, which lies on no wall up to size n.
+
+    Every box of a partition of size at most n has arm a and leg l at
+    most n - 1 < K. Against (1, K) the two weights of a box pair, chart
+    by chart of P2_CHART_WEIGHTS (the first is also the affine chart), to
+
+        chart 0:  (a+1) - l*K            and  (l+1)*K - a
+        chart 1:  -(a+1) - l*(K-1)       and  (l+1)*(K-1) + a
+        chart 2:  -K*(a+1-l) - l         and  K*(a-l-1) + l + 1.
+
+    Chart 1's values are negative and positive outright. The other four
+    are x*K + y with integers x, y and |y| <= n < K, so each vanishes only
+    if x = y = 0; but chart 0 has y = a+1 and x = l+1, and chart 2 has
+    (x, y) = (l-a-1, -l) and y = l+1, never zero together.
+    """
     return CharVector(1, 2 * n * n + 1)
-
-
-def generic_rho(weight_lists: list[list[CharVector]], n: int) -> CharVector:
-    """Deterministic search (1, K), (1, K+1), ... for a wall-free subgroup."""
-    weights = {w for ws in weight_lists for w in ws}
-    rho = default_rho(n)
-    while any(rho.a * w.a + rho.b * w.b == 0 for w in weights):
-        logger.warning(
-            "rho=(1,%d) hit a wall at n=%d, retrying with (1,%d)", rho.b, n, rho.b + 1
-        )
-        rho = CharVector(1, rho.b + 1)
-    return rho
 
 
 # A cell table maps a chart size s to {cell dimension: number of
@@ -201,11 +200,11 @@ def cell_tables(
     partition is computed once and shared by every chart. A chart pairs
     rho with its characters u and v once, to pu and pv; the two weights
     of a box then pair to (a+1)*pu - l*pv and (l+1)*pv - a*pu, worked out
-    once per distinct (arm, leg) pair. With rho omitted, generic_rho
-    chooses a wall-free subgroup over exactly the weights of all fixed
-    points; an explicit rho on a wall raises NonGenericError naming its
-    first zero weight in chart, size, partition and box order, as
-    cell_dimension over tangent_weights does.
+    once per distinct (arm, leg) pair. With rho omitted it is
+    default_rho(n), wall-free by proof and still scanned like any other;
+    a rho on a wall raises NonGenericError naming its first zero weight
+    in chart, size, partition and box order, as cell_dimension over
+    tangent_weights does.
     """
     if n < 0:
         raise ValueError(f"negative length: {n}")
@@ -217,11 +216,7 @@ def cell_tables(
         raise ValueError(f"no cell tables for space {space!r}")
     hooks = {s: [_arm_legs(lam) for lam in enumerate_partitions(s)] for s in sizes}
     pairs = {h for hl in hooks.values() for hs in hl for h in hs}
-    if rho is None:
-        rho = generic_rho(
-            [[w for h in pairs for w in _box_weights(*h, u, v)] for u, v in charts], n
-        )
-    rho = CharVector(*rho)
+    rho = default_rho(n) if rho is None else CharVector(*rho)
     if n == 0 and rho == (0, 0):
         # no weight to name; at n > 0 the wall scan below names the first
         raise NonGenericError(
@@ -271,8 +266,8 @@ def poincare_from_tables(tables: list[CellTable], n: int) -> PoincarePoly:
 def poincare_affine(n: int, rho: Optional[CharVector] = None) -> PoincarePoly:
     """Poincare polynomial of the Hilbert scheme of n points on the plane.
 
-    With rho omitted a verified-generic subgroup is chosen automatically;
-    an explicit non-generic rho raises NonGenericError.
+    With rho omitted default_rho(n) is used; a non-generic rho raises
+    NonGenericError.
     """
     return poincare_from_tables(cell_tables("affine", n, rho)[1], n)
 

@@ -1,4 +1,14 @@
-"""Shared exception types."""
+"""Shared exception types and the integer check of numeric input."""
+
+import operator
+
+
+def as_int(value, what: str) -> int:
+    """value by operator.index (ints and bools pass), else ValueError "<what>, got <value>"."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what}, got {value!r}") from None
 
 
 class ConsistencyError(RuntimeError):

@@ -34,6 +34,7 @@ from operator import add
 from typing import Iterable, Optional
 
 from .equivariant import format_poly
+from .errors import as_int
 from .lattice import nakajima_closed_form
 
 
@@ -54,7 +55,7 @@ class SurfaceModel:
         h2_pairing: Optional[tuple[tuple[int, ...], ...]] = None,
         h2_labels: Optional[tuple[str, ...]] = None,
     ):
-        betti = tuple(int(b) for b in betti)
+        betti = tuple(as_int(b, "Betti numbers must be integers") for b in betti)
         if len(betti) != 5:
             raise ValueError(f"need five Betti numbers, got {betti}")
         b0, b1, b2, b3, b4 = betti
@@ -77,7 +78,10 @@ class SurfaceModel:
             h2_pairing = tuple(
                 tuple(1 if i == j else 0 for j in range(b2)) for i in range(b2)
             )
-        h2_pairing = tuple(tuple(int(x) for x in row) for row in h2_pairing)
+        h2_pairing = tuple(
+            tuple(as_int(x, "degree-2 pairing entries must be integers") for x in row)
+            for row in h2_pairing
+        )
         if len(h2_pairing) != b2 or any(len(r) != b2 for r in h2_pairing):
             raise ValueError(f"degree-2 pairing must be {b2} x {b2}")
         for i in range(b2):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ConsistencyError
-from .monomial import generator_count, socle_count, strata_index
+from .monomial import generator_count, socle_count
 from .partitions import Partition, as_partition, enumerate_partitions
 
 
@@ -51,14 +51,13 @@ def nested_pairs(n: int) -> list[NestedPair]:
     ]
 
 
-def phi_fiber_dim(lam, at_support: bool = True) -> int:
+def phi_fiber_dim(lam) -> int:
     """Dimension of the fiber over the smaller subscheme plus a point.
 
     The fiber is the projectivized space of local ideal generators, so
-    generator count minus one at the support point and zero elsewhere.
+    generator count minus one: zero for the empty partition, the ideal
+    at a point off the support.
     """
-    if not at_support:
-        return 0
     return generator_count(lam) - 1
 
 
@@ -74,16 +73,6 @@ def gamma_fiber_dim(mu) -> int:
     return s - 1
 
 
-def local_generator_count(lam) -> int:
-    """Generator count at the support point; 1 for the empty subscheme.
-
-    The empty subscheme has the unit ideal, locally principal everywhere,
-    which is exactly the off-support stratum index.
-    """
-    lam = as_partition(lam)
-    return strata_index(lam, bool(lam.parts))
-
-
 def euler_incidence(n: int) -> int:
     """Fixed-point count of the nested scheme, verified three ways.
 
@@ -95,7 +84,7 @@ def euler_incidence(n: int) -> int:
 
 def _confirmed_pair_count(n: int, pair_count: int) -> int:
     """pair_count, once the generator and socle sums at n agree with it."""
-    gen_sum = sum(local_generator_count(lam) for lam in enumerate_partitions(n))
+    gen_sum = sum(generator_count(lam) for lam in enumerate_partitions(n))
     socle_sum = sum(socle_count(mu) for mu in enumerate_partitions(n + 1))
     if not pair_count == gen_sum == socle_sum:
         raise ConsistencyError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, as_int
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class DivisorClass:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        coords = tuple(as_int(c, "coordinates must be integers") for c in self.coords)
+        object.__setattr__(self, "coords", coords)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(self.coords) != len(other.coords):
@@ -43,6 +44,7 @@ class DivisorClass:
         return DivisorClass(tuple(-a for a in self.coords))
 
     def __rmul__(self, k: int) -> "DivisorClass":
+        k = as_int(k, "a class scales by integers only")
         return DivisorClass(tuple(k * a for a in self.coords))
 
 
@@ -57,15 +59,12 @@ class IntersectionLattice:
     __slots__ = ("labels", "_rows")
 
     def __init__(self, gram, labels):
-        gram = tuple(tuple(int(x) for x in row) for row in gram)
+        gram = tuple(map(tuple, gram))
         labels = tuple(labels)
         r = len(labels)
         if len(gram) != r or any(len(row) != r for row in gram):
             raise ValueError(f"gram matrix must be {r} x {r}")
-        self._set(
-            {(i, j): x for i, row in enumerate(gram) for j, x in enumerate(row) if x},
-            labels,
-        )
+        self._set({(i, j): x for i, row in enumerate(gram) for j, x in enumerate(row)}, labels)
 
     @classmethod
     def from_entries(
@@ -77,14 +76,16 @@ class IntersectionLattice:
         return lattice
 
     def _set(self, entries: Mapping[tuple[int, int], int], labels) -> None:
-        """Store the entries after the integrality, range and symmetry checks."""
+        """Store the nonzero entries after the label, integrality, range and symmetry checks."""
         labels = tuple(labels)
         r = len(labels)
+        if len(set(labels)) != r:
+            raise ValueError(f"duplicate basis labels in {labels}")
         rows: dict[int, dict[int, int]] = {}
         for (i, j), x in entries.items():
             if not (0 <= i < r and 0 <= j < r):
                 raise ValueError(f"gram entry ({i}, {j}) outside a {r} x {r} matrix")
-            x = int(x)
+            x = as_int(x, "gram entries must be integers")
             if x:
                 rows.setdefault(i, {})[j] = x
         for i, row in rows.items():
@@ -169,12 +170,14 @@ def rank_zero_lattice() -> IntersectionLattice:
 def blow_up(L: IntersectionLattice, k: int) -> IntersectionLattice:
     """Adjoin k exceptional classes: self-pairing -1, orthogonal to everything.
 
-    Old classes keep their pairings; labels continue any existing E-series.
+    Old classes keep their pairings; the new classes are numbered E<m+1>,
+    E<m+2>, ... after the largest m of any existing E<digits> label.
     """
     if k < 0:
         raise ValueError(f"cannot blow up a negative number of points: {k}")
     r = L.rank
-    start = sum(1 for lbl in L.labels if lbl.startswith("E")) + 1
+    taken = [int(lbl[1:]) for lbl in L.labels if lbl[:1] == "E" and lbl[1:].isdecimal()]
+    start = max(taken, default=0) + 1
     labels = L.labels + tuple(f"E{start + i}" for i in range(k))
     entries = L.entries()
     for i in range(r, r + k):

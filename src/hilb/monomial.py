@@ -110,12 +110,12 @@ def staircase(lam) -> StaircaseIdeal:
 
 
 def generator_count(lam) -> int:
-    """Minimal number of generators of the ideal at its support point."""
-    lam = as_partition(lam)
-    if not lam:
-        raise ValueError(
-            "ideal is the unit ideal at a point off support; use strata_index"
-        )
+    """Minimal number of local generators of the ideal.
+
+    At the support point this is the staircase generator count. The empty
+    partition is the unit ideal, the ideal at any point off the support,
+    which is locally principal: its count is 1.
+    """
     return len(staircase(lam).generators)
 
 
@@ -196,18 +196,3 @@ def hilbert_burch(lam) -> HilbertBurchMatrix:
         grid[j][j] = Term(1, Monomial(0, gens[j + 1].yexp - gens[j].yexp))
         grid[j + 1][j] = Term(-1, Monomial(gens[j].xexp - gens[j + 1].xexp, 0))
     return HilbertBurchMatrix(gens, tuple(tuple(row) for row in grid))
-
-
-def strata_index(lam, at_support: bool) -> int:
-    """Local minimal-generator count of the ideal at a chosen point.
-
-    Off the support every ideal sheaf is locally principal, so the index
-    is 1; at the support point of a punctual subscheme it is the
-    staircase generator count.
-    """
-    lam = as_partition(lam)
-    if not at_support:
-        return 1
-    if not lam:
-        raise ValueError("empty subscheme has no support point")
-    return generator_count(lam)

@@ -20,6 +20,8 @@ import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
+from .errors import as_int
+
 
 class Box(NamedTuple):
     """A cell of a Young diagram, 0-based."""
@@ -34,7 +36,7 @@ class Partition:
     __slots__ = ("parts", "size")
 
     def __new__(cls, parts: Iterable[int] = ()):
-        return _shaped(tuple(map(_part, parts)))
+        return _shaped(tuple(as_int(p, "parts must be positive integers") for p in parts))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
@@ -138,14 +140,6 @@ class Partition:
                 continue
             out.append(_shaped(parts[:r] + ((p - 1,) if p > 1 else ()) + parts[r + 1 :]))
         return out
-
-
-def _part(p) -> int:
-    """One part as an int; a part that is not an integer is a ValueError."""
-    try:
-        return operator.index(p)
-    except TypeError:
-        raise ValueError(f"parts must be positive integers, got {p!r}") from None
 
 
 def _shaped(pts: tuple[int, ...]) -> Partition:

@@ -1,5 +1,6 @@
 """Command-line front end: formats, determinism, exit codes, frozen outputs."""
 
+import doctest
 import hashlib
 import json
 from pathlib import Path
@@ -345,3 +346,9 @@ def test_cli_output_matches_bench_goldens(capsys):
         stdout = out.encode()
         got = {"sha256": hashlib.sha256(stdout).hexdigest(), "bytes": len(stdout), "exit": code}
         assert got == want, key
+
+
+def test_readme_examples_run():
+    # the README's one-liners, so it cannot name a removed function
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert doctest.testfile(str(readme), module_relative=False).failed == 0

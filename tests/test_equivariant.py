@@ -15,7 +15,6 @@ from hilb import (
     enumerate_partitions,
     fixed_points_p2,
     format_poly,
-    generic_rho,
     pentagonal_partition_count,
     poincare_affine,
     poincare_p2,
@@ -24,6 +23,7 @@ from hilb import (
     punctual_locus_dim,
     tangent_weights,
 )
+from hilb.equivariant import _box_weights
 
 STD = AFFINE_CHART
 
@@ -113,6 +113,15 @@ def test_default_rho_is_generic():
         rho = default_rho(n)
         assert rho.a == 1 and rho.b > 2 * n * n
         assert poincare_affine(n, rho).coeffs == affine_betti_oracle(n)
+    # the proof in default_rho's docstring: every box of a partition of
+    # size <= n has a + l <= n - 1, and none of its weights is on a wall
+    for n in range(61):
+        rho = default_rho(n)
+        for a in range(n):
+            for l in range(n - a):
+                for u, v in P2_CHART_WEIGHTS:
+                    for w in _box_weights(a, l, u, v):
+                        assert rho.a * w.a + rho.b * w.b != 0, (n, a, l, u, v)
 
 
 def test_fixed_points_p2_counts():
@@ -190,7 +199,7 @@ def brute_poincare_p2(n, rho=None):
     pts = fixed_points_p2(n)
     wlists = [pt.weights() for pt in pts]
     if rho is None:
-        rho = generic_rho(wlists, n)
+        rho = default_rho(n)
     return rho, PoincarePoly.from_cell_dims(cell_dimension(ws, rho) for ws in wlists)
 
 
@@ -205,8 +214,12 @@ def test_poincare_p2_matches_fixed_point_sum():
 
 def test_poincare_affine_rho_matches_partition_weights():
     for n in range(10):
+        rho = default_rho(n)
         weights = [tangent_weights(lam, *STD) for lam in enumerate_partitions(n)]
-        assert cell_tables("affine", n)[0] == generic_rho(weights, n)
+        assert cell_tables("affine", n)[0] == rho
+        assert poincare_affine(n) == PoincarePoly.from_cell_dims(
+            cell_dimension(ws, rho) for ws in weights
+        )
 
 
 def test_poincare_p2_wall_rho_rejected():

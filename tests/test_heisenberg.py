@@ -62,6 +62,14 @@ def test_surface_model_validation():
         SurfaceModel((2, 0, 1, 0, 1))
     with pytest.raises(ValueError):
         SurfaceModel((1, 0, 1, 0))
+    # non-integers are refused, not truncated or parsed; bools are integers
+    with pytest.raises(ValueError, match=r"^Betti numbers must be integers, got 1\.5$"):
+        SurfaceModel((1, 0, 1.5, 0, 1))
+    with pytest.raises(ValueError, match="^Betti numbers must be integers, got '2'$"):
+        SurfaceModel((1, 0, "2", 0, 1))
+    with pytest.raises(ValueError, match=r"^degree-2 pairing entries must be integers, got 1\.0$"):
+        SurfaceModel((1, 0, 1, 0, 1), ((1.0,),))
+    assert SurfaceModel((True, 0, 1, 0, True)).betti == (1, 0, 1, 0, 1)
 
 
 def test_p2_surface_basis_and_pairing():

@@ -11,7 +11,6 @@ from hilb import (
     euler_incidence,
     gamma_fiber_dim,
     generator_count,
-    local_generator_count,
     nested_pairs,
     phi_fiber_dim,
     socle_count,
@@ -48,7 +47,7 @@ def test_nested_pairs_frozen():
 def test_fiber_dims_frozen():
     assert phi_fiber_dim(Partition((1,))) == 1
     assert phi_fiber_dim(Partition((2, 1))) == 2
-    assert phi_fiber_dim(Partition((2, 1)), at_support=False) == 0
+    assert phi_fiber_dim(Partition()) == 0
     assert gamma_fiber_dim(Partition((1,))) == 0
     assert gamma_fiber_dim(Partition((2, 1))) == 1
     assert gamma_fiber_dim(Partition((3,))) == 0
@@ -60,17 +59,13 @@ def test_fiber_dim_identities():
             assert phi_fiber_dim(lam) == generator_count(lam) - 1
             assert gamma_fiber_dim(lam) == socle_count(lam) - 1
             # the stratum index of an i-generator ideal has (i-2)-dim fibers
-            assert gamma_fiber_dim(lam) == local_generator_count(lam) - 2
+            assert gamma_fiber_dim(lam) == generator_count(lam) - 2
 
 
 def test_fiber_count_duality():
     for n in range(16):
         total = len(nested_pairs(n))
-        by_phi = sum(
-            phi_fiber_dim(lam) + 1 for lam in enumerate_partitions(n) if lam
-        )
-        if n == 0:
-            by_phi = 1  # single off-support-style pair ((), (1))
+        by_phi = sum(phi_fiber_dim(lam) + 1 for lam in enumerate_partitions(n))
         by_gamma = sum(
             gamma_fiber_dim(mu) + 1 for mu in enumerate_partitions(n + 1)
         )
@@ -80,8 +75,8 @@ def test_fiber_count_duality():
 def test_jump_bound_over_nested_pairs():
     for n in range(21):
         for pair in nested_pairs(n):
-            low = local_generator_count(pair.lower)
-            high = local_generator_count(pair.upper)
+            low = generator_count(pair.lower)
+            high = generator_count(pair.upper)
             assert abs(high - low) <= 1
 
 
@@ -129,16 +124,6 @@ def test_strata_propagate_frozen():
     assert two.bound(4) is None
     three = strata_propagate(two)
     assert three.bounds == {1: 8, 2: 6, 3: 4, 4: 2}
-
-
-def test_strata_bounds_hold_to_40():
-    table = strata_base()
-    for n in range(2, 41):
-        table = strata_propagate(table)
-        assert table.n == n
-        for i, bound in table.bounds.items():
-            assert bound <= 2 * n + 4 - 2 * i
-    assert strata_table(40).bounds == table.bounds
 
 
 def test_codim_hypotheses_frozen():

@@ -54,6 +54,9 @@ def test_blow_up_identity_and_stacking():
     assert stacked == blow_up(lat, 3)
     with pytest.raises(ValueError):
         blow_up(lat, -1)
+    # new classes are numbered after the largest E<digits> label, never onto one
+    assert blow_up(IntersectionLattice(((1,),), ("E2",)), 1).labels == ("E2", "E3")
+    assert blow_up(IntersectionLattice(((1,),), ("Eta",)), 2).labels == ("Eta", "E1", "E2")
 
 
 def test_lattice_validation():
@@ -61,6 +64,12 @@ def test_lattice_validation():
         IntersectionLattice(((1, 2), (3, 4)), ("A", "B"))  # not symmetric
     with pytest.raises(ValueError):
         IntersectionLattice(((1,),), ("A", "B"))  # label count mismatch
+    with pytest.raises(ValueError, match=r"^duplicate basis labels in \('A', 'A'\)$"):
+        IntersectionLattice(((1, 0), (0, 1)), ("A", "A"))
+    # non-integers are refused, not truncated; bools are integers
+    with pytest.raises(ValueError, match=r"^gram entries must be integers, got 2\.7$"):
+        IntersectionLattice(((2.7,),), ("A",))
+    assert IntersectionLattice(((True,),), ("A",)).gram == ((1,),)
     lat = p2_lattice()
     with pytest.raises(ValueError, match="mismatch"):
         lat.pair(DivisorClass((1, 2)), lat.cls("H"))
@@ -73,6 +82,11 @@ def test_divisor_arithmetic():
     assert (h - e1).coords == (1, -1, 0)
     assert (3 * h).coords == (3, 0, 0)
     assert (-h).coords == (-1, 0, 0)
+    assert (True * h).coords == DivisorClass((True, 0, 0)).coords == (1, 0, 0)
+    with pytest.raises(ValueError, match=r"^coordinates must be integers, got 2\.5$"):
+        DivisorClass((2.5, 1))
+    with pytest.raises(ValueError, match=r"^a class scales by integers only, got 2\.5$"):
+        2.5 * h
 
 
 def test_exceptional_total_square_frozen():
@@ -105,13 +119,6 @@ def test_recurrence_frozen():
     assert nakajima_recurrence(1).values == (1,)
     assert nakajima_recurrence(3).values == (1, -2, 3)
     assert nakajima_recurrence(10).value(10) == -10
-
-
-def test_recurrence_matches_closed_form_to_200():
-    seq = nakajima_recurrence(200)
-    assert len(seq.values) == 200
-    for n in range(1, 201):
-        assert seq.value(n) == nakajima_closed_form(n)
 
 
 def test_sequence_validation():
@@ -197,5 +204,9 @@ def test_lattice_from_entries_validation():
         IntersectionLattice.from_entries({(0, 1): 3}, ("A", "B"))
     with pytest.raises(ValueError, match="outside"):
         IntersectionLattice.from_entries({(2, 2): -1}, ("A", "B"))
+    with pytest.raises(ValueError, match=r"^gram entries must be integers, got 1\.9$"):
+        IntersectionLattice.from_entries({(0, 0): 1.9}, ("A",))
+    with pytest.raises(ValueError, match=r"^duplicate basis labels in \('B', 'C', 'B'\)$"):
+        IntersectionLattice.from_entries({}, ("B", "C", "B"))
     with pytest.raises(AttributeError):
         lat.labels = ("C", "D")

@@ -11,7 +11,6 @@ from hilb import (
     hilbert_burch,
     socle_count,
     staircase,
-    strata_index,
 )
 
 
@@ -81,8 +80,8 @@ def test_generator_count_frozen():
     assert generator_count(Partition((4, 4, 2))) == 3
     assert generator_count(Partition((1,))) == 2
     assert generator_count(Partition((3, 2, 1))) == 4
-    with pytest.raises(ValueError, match="strata_index"):
-        generator_count(Partition())
+    # the unit ideal, at any point off the support, is locally principal
+    assert generator_count(Partition()) == 1
 
 
 def brute_socle(lam):
@@ -104,14 +103,6 @@ def test_socle_count_frozen():
     assert socle_count(Partition((2, 2))) == 1
     assert socle_count(Partition((2, 1))) == 2
     assert socle_count(Partition((5, 3, 3, 1))) == 3
-
-
-def test_strata_index():
-    assert strata_index(Partition((1,)), at_support=False) == 1
-    assert strata_index(Partition((4, 4, 2)), at_support=True) == 3
-    assert strata_index(Partition(), at_support=False) == 1
-    with pytest.raises(ValueError, match="support"):
-        strata_index(Partition(), at_support=True)
 
 
 def test_hilbert_burch_single_box():
