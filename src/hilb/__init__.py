@@ -9,165 +9,120 @@ c_n = (-1)^(n-1) n; and the Goettsche/Heisenberg generating-series
 correspondence with its commutator checks.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .errors import ConsistencyError
-from .partitions import (
-    Box,
-    Partition,
-    as_partition,
-    enumerate_partitions,
-    pentagonal_partition_count,
-)
-from .monomial import (
-    HilbertBurchMatrix,
-    Monomial,
-    StaircaseIdeal,
-    Term,
-    generator_count,
-    hilbert_burch,
-    socle_count,
-    staircase,
-)
-from .equivariant import (
-    AFFINE_CHART,
-    P2_CHART_WEIGHTS,
-    CharVector,
-    ChartTuple,
-    NonGenericError,
-    PoincarePoly,
-    cell_dimension,
-    cell_tables,
-    default_rho,
-    fixed_points_p2,
-    format_poly,
-    poincare_affine,
-    poincare_from_tables,
-    poincare_p2,
-    poincare_punctual,
-    punctual_cell_dims,
-    tangent_weights,
-)
-from .incidence import (
-    CodimHypothesesReport,
-    NestedPair,
-    StrataBoundTable,
-    StratumCodim,
-    check_codim_hypotheses,
-    euler_incidence,
-    gamma_fiber_dim,
-    nested_pairs,
-    phi_fiber_dim,
-    strata_base,
-    strata_propagate,
-    strata_table,
-)
-from .lattice import (
-    DivisorClass,
-    IntersectionLattice,
-    NakajimaSequence,
-    blow_up,
-    exceptional_total_square,
-    hilbert_scheme_dim,
-    nakajima_closed_form,
-    nakajima_recurrence,
-    one_point_locus_dim,
-    p2_lattice,
-    punctual_locus_dim,
-    rank_zero_lattice,
-)
-from .heisenberg import (
-    CommutatorReport,
-    FockState,
-    GradedSeries,
-    SurfaceModel,
-    annihilate,
-    basis_monomials,
-    commutator_check,
-    commutator_checks,
-    create,
-    fock_character,
-    goettsche_series,
-    k3_surface,
-    p2_surface,
-    vacuum,
+# Each layer is imported on first use, so a process loads only the layers
+# it touches (`hilb partitions` never compiles the Fock model). The names
+# below are re-exported from the layer that defines or re-exports them,
+# resolved by the module __getattr__ and then cached in this namespace.
+_EXPORTS = {
+    "errors": ("ConsistencyError",),
+    "partitions": (
+        "Box",
+        "Partition",
+        "as_partition",
+        "enumerate_partitions",
+        "pentagonal_partition_count",
+    ),
+    "monomial": (
+        "HilbertBurchMatrix",
+        "Monomial",
+        "StaircaseIdeal",
+        "Term",
+        "generator_count",
+        "hilbert_burch",
+        "socle_count",
+        "staircase",
+    ),
+    "equivariant": (
+        "AFFINE_CHART",
+        "P2_CHART_WEIGHTS",
+        "CharVector",
+        "ChartTuple",
+        "NonGenericError",
+        "PoincarePoly",
+        "cell_dimension",
+        "cell_tables",
+        "default_rho",
+        "fixed_points_p2",
+        "format_poly",
+        "poincare_affine",
+        "poincare_from_tables",
+        "poincare_p2",
+        "poincare_punctual",
+        "punctual_cell_dims",
+        "tangent_weights",
+    ),
+    "incidence": (
+        "CodimHypothesesReport",
+        "NestedPair",
+        "StrataBoundTable",
+        "StratumCodim",
+        "check_codim_hypotheses",
+        "euler_incidence",
+        "gamma_fiber_dim",
+        "nested_pairs",
+        "phi_fiber_dim",
+        "strata_base",
+        "strata_propagate",
+        "strata_table",
+    ),
+    "lattice": (
+        "DivisorClass",
+        "IntersectionLattice",
+        "NakajimaSequence",
+        "blow_up",
+        "exceptional_total_square",
+        "hilbert_scheme_dim",
+        "nakajima_closed_form",
+        "nakajima_recurrence",
+        "one_point_locus_dim",
+        "p2_lattice",
+        "punctual_locus_dim",
+        "rank_zero_lattice",
+    ),
+    "heisenberg": (
+        "CommutatorReport",
+        "FockState",
+        "GradedSeries",
+        "SurfaceModel",
+        "annihilate",
+        "basis_monomials",
+        "commutator_check",
+        "commutator_checks",
+        "create",
+        "fock_character",
+        "goettsche_series",
+        "k3_surface",
+        "p2_surface",
+        "vacuum",
+    ),
+}
+
+_LAYERS = (
+    "errors", "common", "partitions", "monomial", "equivariant",
+    "incidence", "lattice", "heisenberg", "verify", "cli",
 )
 
-__all__ = [
-    "__version__",
-    "ConsistencyError",
-    # partitions
-    "Box",
-    "Partition",
-    "as_partition",
-    "enumerate_partitions",
-    "pentagonal_partition_count",
-    # monomial ideals
-    "HilbertBurchMatrix",
-    "Monomial",
-    "StaircaseIdeal",
-    "Term",
-    "generator_count",
-    "hilbert_burch",
-    "socle_count",
-    "staircase",
-    # equivariant cells
-    "AFFINE_CHART",
-    "P2_CHART_WEIGHTS",
-    "CharVector",
-    "ChartTuple",
-    "NonGenericError",
-    "PoincarePoly",
-    "cell_dimension",
-    "cell_tables",
-    "default_rho",
-    "fixed_points_p2",
-    "format_poly",
-    "poincare_affine",
-    "poincare_from_tables",
-    "poincare_p2",
-    "poincare_punctual",
-    "punctual_cell_dims",
-    "tangent_weights",
-    # incidence
-    "CodimHypothesesReport",
-    "NestedPair",
-    "StrataBoundTable",
-    "StratumCodim",
-    "check_codim_hypotheses",
-    "euler_incidence",
-    "gamma_fiber_dim",
-    "nested_pairs",
-    "phi_fiber_dim",
-    "strata_base",
-    "strata_propagate",
-    "strata_table",
-    # lattices and constants
-    "DivisorClass",
-    "IntersectionLattice",
-    "NakajimaSequence",
-    "blow_up",
-    "exceptional_total_square",
-    "hilbert_scheme_dim",
-    "nakajima_closed_form",
-    "nakajima_recurrence",
-    "one_point_locus_dim",
-    "p2_lattice",
-    "punctual_locus_dim",
-    "rank_zero_lattice",
-    # series and Fock model
-    "CommutatorReport",
-    "FockState",
-    "GradedSeries",
-    "SurfaceModel",
-    "annihilate",
-    "basis_monomials",
-    "commutator_check",
-    "commutator_checks",
-    "create",
-    "fock_character",
-    "goettsche_series",
-    "k3_surface",
-    "p2_surface",
-    "vacuum",
-]
+_SOURCE = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str):
+    """Import a layer, or a re-exported name's layer, on first access."""
+    if name in _LAYERS:
+        # importing a submodule binds it in this namespace
+        return importlib.import_module(f"{__name__}.{name}")
+    layer = _SOURCE.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAYERS, *_SOURCE})

@@ -11,37 +11,14 @@ across runs; there is no floating point anywhere.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 from . import __version__
-from .equivariant import (
-    CharVector,
-    NonGenericError,
-    cell_tables,
-    poincare_from_tables,
-    poincare_p2,
-    poincare_punctual,
-)
-from .errors import ConsistencyError
-from .heisenberg import SurfaceModel, goettsche_series
-from .incidence import (
-    _confirmed_pair_count,
-    check_codim_hypotheses,
-    nested_pairs,
-    strata_table,
-)
-from .lattice import (
-    blow_up,
-    exceptional_total_square,
-    nakajima_closed_form,
-    nakajima_recurrence,
-    p2_lattice,
-)
-from .monomial import generator_count, socle_count
-from .partitions import enumerate_partitions
-from .verify import run_checks
+from .errors import ConsistencyError, NonGenericError
+
+# Each handler imports the layers it runs, and _emit the json or csv
+# module it writes with, so one invocation loads only what it uses
+# (`partitions` loads no cell, lattice or Fock code).
 
 
 def _int_list(raw: str, count: int, wanted: str) -> tuple[int, ...]:
@@ -56,6 +33,8 @@ def _int_list(raw: str, count: int, wanted: str) -> tuple[int, ...]:
 
 
 def cmd_partitions(args) -> tuple[dict, dict, int]:
+    from .partitions import enumerate_partitions
+
     if args.n < 0:
         raise ValueError(f"--n must be non-negative, got {args.n}")
     lams = enumerate_partitions(args.n)
@@ -65,6 +44,8 @@ def cmd_partitions(args) -> tuple[dict, dict, int]:
 
 
 def cmd_betti(args) -> tuple[dict, dict, int]:
+    from .equivariant import CharVector, cell_tables, poincare_from_tables, poincare_punctual
+
     n = args.n
     if n < 0:
         raise ValueError(f"--n must be non-negative, got {n}")
@@ -100,6 +81,10 @@ _INCIDENCE_COLUMNS = {
 
 def _incidence_row(n: int, columns: list[str]) -> list:
     """One `incidence` row; each quantity is computed only if a column shows it."""
+    from .incidence import _confirmed_pair_count, nested_pairs
+    from .monomial import generator_count, socle_count
+    from .partitions import enumerate_partitions
+
     prs = nested_pairs(n)
     got: dict = {"n": n, "pairs": len(prs)}
     if "max_jump" in columns:
@@ -130,6 +115,8 @@ def cmd_incidence(args) -> tuple[dict, dict, int]:
 
 
 def cmd_strata(args) -> tuple[dict, dict, int]:
+    from .incidence import check_codim_hypotheses, strata_table
+
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     t = strata_table(args.n)
@@ -162,6 +149,8 @@ def cmd_strata(args) -> tuple[dict, dict, int]:
 
 
 def cmd_nakajima(args) -> tuple[dict, dict, int]:
+    from .lattice import nakajima_closed_form, nakajima_recurrence
+
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     params = {"n": args.n, "method": args.method}
@@ -181,6 +170,8 @@ def cmd_nakajima(args) -> tuple[dict, dict, int]:
 
 
 def cmd_lattice(args) -> tuple[dict, dict, int]:
+    from .lattice import blow_up, exceptional_total_square, p2_lattice
+
     if args.blowup < 0:
         raise ValueError(f"--blowup must be non-negative, got {args.blowup}")
     params = {"blowup": args.blowup, "base": "p2"}
@@ -207,6 +198,8 @@ def cmd_lattice(args) -> tuple[dict, dict, int]:
 
 
 def cmd_goettsche(args) -> tuple[dict, dict, int]:
+    from .heisenberg import SurfaceModel, goettsche_series
+
     betti = _int_list(args.betti, 5, "--betti wants five")
     if args.torder < 0:
         raise ValueError(f"--torder must be non-negative, got {args.torder}")
@@ -222,6 +215,8 @@ def cmd_goettsche(args) -> tuple[dict, dict, int]:
             "--compare-fixed-points needs the projective-plane Betti "
             "numbers 1,0,1,0,1"
         )
+    from .equivariant import poincare_p2
+
     top = params["compare_max"] = min(args.torder, 6)
     for n, row in enumerate(rows):
         row.append(series.t_slice(n) == poincare_p2(n).coeffs if n <= top else "-")
@@ -231,6 +226,8 @@ def cmd_goettsche(args) -> tuple[dict, dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, dict, int]:
+    from .verify import run_checks
+
     if not args.all:
         raise ValueError("pass --all to run the invariant suite")
     results = run_checks(args.nmax)
@@ -326,9 +323,13 @@ def _param_str(v) -> str:
 def _emit(record: dict, fmt: str) -> None:
     payload = record["payload"]
     if fmt == "json":
+        import json
+
         print(json.dumps(record, indent=2, sort_keys=True))
         return
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(payload["columns"])
         for row in payload["rows"]:

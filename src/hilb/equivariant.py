@@ -19,10 +19,15 @@ and the small-n projective values must come out right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
+from .common import format_poly
+from .errors import NonGenericError
 from .partitions import Partition, as_partition, enumerate_partitions
+
+# NonGenericError and format_poly are defined in leaf modules, so that
+# the CLI and the series layer need not load this one; both stay
+# importable from here.
 
 
 class CharVector(NamedTuple):
@@ -30,10 +35,6 @@ class CharVector(NamedTuple):
 
     a: int
     b: int
-
-
-class NonGenericError(ValueError):
-    """A one-parameter subgroup paired to zero against a tangent weight."""
 
 
 def tangent_weights(lam, u: CharVector, v: CharVector) -> list[CharVector]:
@@ -123,22 +124,6 @@ class PoincarePoly:
 
     def __str__(self) -> str:
         return format_poly(self.coeffs, "q")
-
-
-def format_poly(coeffs: dict[int, int], var: str) -> str:
-    """Render {degree: coeff} as '1 + 2q^2 + q^4', ascending degrees."""
-    terms = []
-    for d in sorted(coeffs):
-        c = coeffs[d]
-        if c == 0:
-            continue
-        if d == 0:
-            terms.append(str(c))
-        elif c == 1:
-            terms.append(f"{var}^{d}")
-        else:
-            terms.append(f"{c}{var}^{d}")
-    return " + ".join(terms) if terms else "0"
 
 
 # Chart characters of the standard torus action: affine plane, then the
@@ -272,8 +257,7 @@ def poincare_affine(n: int, rho: Optional[CharVector] = None) -> PoincarePoly:
     return poincare_from_tables(cell_tables("affine", n, rho)[1], n)
 
 
-@dataclass(frozen=True)
-class ChartTuple:
+class ChartTuple(NamedTuple):
     """A fixed point of the Hilbert scheme of the projective plane.
 
     One partition per coordinate chart, sizes summing to n, each chart

@@ -19,3 +19,7 @@ class ConsistencyError(RuntimeError):
     the recurrence steps) do not. Always a bug signal, never an input
     error.
     """
+
+
+class NonGenericError(ValueError):
+    """A one-parameter subgroup paired to zero against a tangent weight."""

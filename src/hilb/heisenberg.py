@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect
-from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .equivariant import format_poly
+from .common import format_poly
 from .errors import as_int
 from .lattice import nakajima_closed_form
 
@@ -70,6 +69,9 @@ class SurfaceModel:
         if h2_labels is None:
             h2_labels = tuple(f"e{i + 1}" for i in range(b2))
         h2_labels = tuple(h2_labels)
+        for label in h2_labels:
+            if not isinstance(label, str):
+                raise ValueError(f"degree-2 labels must be strings, got {label!r}")
         if len(h2_labels) != b2 or len(set(h2_labels)) != b2:
             raise ValueError(f"need {b2} distinct degree-2 labels")
         if {"1", "pt"} & set(h2_labels):
@@ -424,8 +426,7 @@ def basis_monomials(surface: SurfaceModel, max_t: int) -> list[FockMonomial]:
     return out
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
+class CommutatorReport(NamedTuple):
     """Result of probing [a_m(alpha), a_{-k}(beta)] against its scalar."""
 
     m: int

@@ -16,28 +16,24 @@ the upstairs fiber subtracts i-2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
+from .common import Record
 from .errors import ConsistencyError
 from .monomial import generator_count, socle_count
 from .partitions import Partition, as_partition, enumerate_partitions
 
 
-@dataclass(frozen=True)
-class NestedPair:
+class NestedPair(Record):
     """Partitions (lower, upper) with the upper diagram one box larger."""
 
-    lower: Partition
-    upper: Partition
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self):
-        if self.upper.size != self.lower.size + 1 or not self.upper.contains(
-            self.lower
-        ):
-            raise ValueError(
-                f"not nested with one extra box: {self.lower} -> {self.upper}"
-            )
+    def __init__(self, lower: Partition, upper: Partition):
+        if upper.size != lower.size + 1 or not upper.contains(lower):
+            raise ValueError(f"not nested with one extra box: {lower} -> {upper}")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 def nested_pairs(n: int) -> list[NestedPair]:
@@ -94,8 +90,7 @@ def _confirmed_pair_count(n: int, pair_count: int) -> int:
     return pair_count
 
 
-@dataclass(frozen=True)
-class StrataBoundTable:
+class StrataBoundTable(Record):
     """Dimension bounds for the loci needing i local generators, fixed size n.
 
     Absent indices are genuinely empty strata (no propagation source),
@@ -104,22 +99,23 @@ class StrataBoundTable:
     bound still holds.
     """
 
-    n: int
-    bounds: Mapping[int, int]
+    __slots__ = ("n", "bounds")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"table size must be at least 1, got {self.n}")
-        for i, b in self.bounds.items():
+    def __init__(self, n: int, bounds: Mapping[int, int]):
+        if n < 1:
+            raise ValueError(f"table size must be at least 1, got {n}")
+        for i, b in bounds.items():
             if i < 1 or not isinstance(i, int):
                 raise ValueError(f"malformed table: bad index {i}")
             if not isinstance(b, int) or b < 0:
                 raise ValueError(f"malformed table: bad bound {b} at i={i}")
-        if self.bounds.get(1) != 2 * self.n + 2:
+        if bounds.get(1) != 2 * n + 2:
             raise ValueError(
                 f"malformed table: principal stratum must carry bound "
-                f"{2 * self.n + 2} at size {self.n}"
+                f"{2 * n + 2} at size {n}"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def ambient_dim(self) -> int:
@@ -175,8 +171,7 @@ def strata_table(n: int) -> StrataBoundTable:
     return t
 
 
-@dataclass(frozen=True)
-class StratumCodim:
+class StratumCodim(NamedTuple):
     """Codimension audit for one stratum index."""
 
     index: int
@@ -187,8 +182,7 @@ class StratumCodim:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class CodimHypothesesReport:
+class CodimHypothesesReport(NamedTuple):
     """Blow-up criterion audit: codim >= i for i >= 2 and >= i+1 for i >= 3.
 
     Both follow from the stronger inequality codim >= 2i - 2, which is

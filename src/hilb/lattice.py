@@ -15,21 +15,19 @@ n-fold fiber class on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional
 
+from .common import Record
 from .errors import ConsistencyError, as_int
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """Integer coordinate vector in a fixed lattice basis."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(as_int(c, "coordinates must be integers") for c in self.coords)
+    def __init__(self, coords: tuple[int, ...]):
+        coords = tuple(as_int(c, "coordinates must be integers") for c in coords)
         object.__setattr__(self, "coords", coords)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -79,6 +77,9 @@ class IntersectionLattice:
         """Store the nonzero entries after the label, integrality, range and symmetry checks."""
         labels = tuple(labels)
         r = len(labels)
+        for label in labels:
+            if not isinstance(label, str):
+                raise ValueError(f"basis labels must be strings, got {label!r}")
         if len(set(labels)) != r:
             raise ValueError(f"duplicate basis labels in {labels}")
         rows: dict[int, dict[int, int]] = {}
@@ -223,22 +224,22 @@ def nakajima_closed_form(n: int) -> int:
     return (-1) ** (n - 1) * n
 
 
-@dataclass(frozen=True)
-class NakajimaSequence:
+class NakajimaSequence(Record):
     """Constants c_1..c_N with the sign/size invariants enforced on build."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]):
+        if not values:
             raise ValueError("empty sequence")
-        if self.values[0] != 1:
-            raise ConsistencyError(f"c_1 must be 1, got {self.values[0]}")
-        for idx, c in enumerate(self.values, start=1):
+        if values[0] != 1:
+            raise ConsistencyError(f"c_1 must be 1, got {values[0]}")
+        for idx, c in enumerate(values, start=1):
             if abs(c) != idx:
                 raise ConsistencyError(f"|c_{idx}| must be {idx}, got {c}")
-            if idx >= 2 and c * self.values[idx - 2] >= 0:
+            if idx >= 2 and c * values[idx - 2] >= 0:
                 raise ConsistencyError(f"signs must alternate at c_{idx}")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -257,6 +258,8 @@ def nakajima_recurrence(N: int) -> NakajimaSequence:
     from exceptional_total_square on an honest blown-up lattice; any
     non-integral step raises ConsistencyError.
     """
+    from fractions import Fraction  # only the recurrence needs it; lattices load without it
+
     if N < 1:
         raise ValueError(f"need at least one constant, got {N}")
     values = [1]

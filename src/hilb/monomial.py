@@ -12,7 +12,7 @@ package is involved, so the maximal-minor check is exact by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from typing import NamedTuple, Optional
 
 from .partitions import Partition, as_partition
@@ -57,8 +57,7 @@ class Term(NamedTuple):
         return f"{self.coeff}*{body}"
 
 
-@dataclass(frozen=True)
-class StaircaseIdeal:
+class StaircaseIdeal(NamedTuple):
     """Monomial ideal of a partition: shape plus minimal generators.
 
     Generators are sorted by xexp ascending (so yexp strictly descending).
@@ -79,16 +78,21 @@ class StaircaseIdeal:
     def socle(self) -> list[Monomial]:
         """Quotient monomials killed by both x and y, row-major.
 
-        Only the last box (x, y) of a row can be killed by x; each is tested
-        against the ideal both ways on its exponents, so only the socle is built.
+        Only the last box of a row can be killed by x, so only those boxes
+        are tested, on their exponents, and only the socle is built.
         """
         parts = self.shape.parts
-        out = []
-        for y, part in enumerate(parts):
-            x = part - 1
-            if x + 1 >= parts[y] and (y + 1 >= len(parts) or x >= parts[y + 1]):
-                out.append(Monomial(x, y))
-        return out
+        return [Monomial(parts[y] - 1, y) for y in _socle_rows(parts)]
+
+
+def _socle_rows(parts: tuple[int, ...]) -> list[int]:
+    """Rows y whose last box (x, y), x = parts[y] - 1, is killed by x and y.
+
+    x takes it to (parts[y], y), outside the diagram for every row; y
+    takes it to (x, y + 1), outside unless row y + 1 reaches column x.
+    """
+    last = len(parts) - 1
+    return [y for y, part in enumerate(parts) if y == last or part > parts[y + 1]]
 
 
 def staircase(lam) -> StaircaseIdeal:
@@ -112,23 +116,32 @@ def staircase(lam) -> StaircaseIdeal:
 def generator_count(lam) -> int:
     """Minimal number of local generators of the ideal.
 
-    At the support point this is the staircase generator count. The empty
-    partition is the unit ideal, the ideal at any point off the support,
-    which is locally principal: its count is 1.
+    At the support point this is the staircase generator count: x^(first
+    part), y^(number of rows), and one generator x^(part b) y^b at every
+    row b shorter than the row above it, read off the parts without
+    building the ideal. The empty partition is the unit ideal, the ideal
+    at any point off the support, which is locally principal: its count
+    is 1.
     """
-    return len(staircase(lam).generators)
+    parts = as_partition(lam).parts
+    if not parts:
+        return 1
+    return 2 + sum(map(operator.gt, parts, parts[1:]))
 
 
 def socle_count(lam) -> int:
-    """Dimension of the socle of the quotient (always generator_count - 1)."""
+    """Dimension of the socle of the quotient (always generator_count - 1).
+
+    Counts the row-end boxes killed by both x and y, as
+    StaircaseIdeal.socle finds them, without building the ideal.
+    """
     lam = as_partition(lam)
     if not lam:
         raise ValueError("socle undefined for the empty partition")
-    return len(staircase(lam).socle())
+    return len(_socle_rows(lam.parts))
 
 
-@dataclass(frozen=True)
-class HilbertBurchMatrix:
+class HilbertBurchMatrix(NamedTuple):
     """Bidiagonal g x (g-1) matrix of first syzygies of a staircase ideal.
 
     Rows run over the generators in xexp-descending order; column j ties

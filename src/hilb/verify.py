@@ -9,8 +9,7 @@ Each check is declared once, by `_check`, with its name and scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .equivariant import (
     AFFINE_CHART,
@@ -54,8 +53,7 @@ from .monomial import generator_count, hilbert_burch, socle_count, staircase
 from .partitions import enumerate_partitions, pentagonal_partition_count
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     scope: str
     passed: bool

@@ -177,7 +177,6 @@ def test_incidence_builds_pairs_once_and_checks_the_sums(capsys, monkeypatch):
         calls.append(n)
         return original(n)
 
-    monkeypatch.setattr(cli, "nested_pairs", counted)
     monkeypatch.setattr(incidence, "nested_pairs", counted)
     for check in ("jumps", "euler", "fibers", "all"):
         calls.clear()

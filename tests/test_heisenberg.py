@@ -72,6 +72,13 @@ def test_surface_model_validation():
     assert SurfaceModel((True, 0, 1, 0, True)).betti == (1, 0, 1, 0, 1)
 
 
+def test_non_string_labels_are_refused():
+    with pytest.raises(ValueError, match="^degree-2 labels must be strings, got 3$"):
+        SurfaceModel((1, 0, 1, 0, 1), h2_labels=(3,))
+    with pytest.raises(ValueError, match="^degree-2 labels must be strings, got None$"):
+        SurfaceModel((1, 0, 2, 0, 1), h2_labels=("a", None))
+
+
 def test_p2_surface_basis_and_pairing():
     assert P2.labels() == ("1", "h", "pt")
     assert P2.degree("1") == 0

@@ -75,6 +75,14 @@ def test_lattice_validation():
         lat.pair(DivisorClass((1, 2)), lat.cls("H"))
 
 
+def test_non_string_labels_are_refused():
+    # blow_up reads labels as strings; a number used to fail there with a TypeError
+    with pytest.raises(ValueError, match="^basis labels must be strings, got 5$"):
+        IntersectionLattice(((1,),), (5,))
+    with pytest.raises(ValueError, match=r"^basis labels must be strings, got \(1, 2\)$"):
+        IntersectionLattice.from_entries({}, ("A", (1, 2)))
+
+
 def test_divisor_arithmetic():
     lat = blow_up(p2_lattice(), 2)
     h, e1 = lat.cls("H"), lat.cls("E1")

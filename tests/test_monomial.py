@@ -76,6 +76,16 @@ def test_quotient_basis_is_the_diagram():
             }
 
 
+def test_counts_match_the_built_ideal():
+    # generator_count and socle_count read the parts; staircase builds the ideal
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            ideal = staircase(lam)
+            assert generator_count(lam) == len(ideal.generators), lam
+            if n:
+                assert socle_count(lam) == len(ideal.socle()), lam
+
+
 def test_generator_count_frozen():
     assert generator_count(Partition((4, 4, 2))) == 3
     assert generator_count(Partition((1,))) == 2

@@ -1,0 +1,167 @@
+"""Start-up: the lazy package root, records without dataclasses, and what
+each subcommand loads and prints as a process."""
+
+import hashlib
+import importlib
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hilb
+from hilb import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+LAYERS = (
+    "errors", "common", "partitions", "monomial", "equivariant",
+    "incidence", "lattice", "heisenberg", "verify", "cli",
+)
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs `main` on the given arguments in a fresh interpreter, then writes the
+# exit code, whether `dataclasses` was loaded, and the hilb modules loaded.
+PROBE = """
+import sys
+from hilb.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "hilb" or m.startswith("hilb."))
+sys.stderr.write(" ".join([str(code), str("dataclasses" in sys.modules), *loaded]))
+"""
+
+BASE = {"hilb", "hilb.cli", "hilb.errors"}
+CELLS = {"hilb.common", "hilb.partitions", "hilb.equivariant"}
+INCIDENCE = {"hilb.common", "hilb.partitions", "hilb.monomial", "hilb.incidence"}
+LATTICE = {"hilb.common", "hilb.lattice"}
+SERIES = LATTICE | {"hilb.heisenberg"}
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        ("partitions --n 3", {"hilb.partitions"}),
+        ("betti --space affine --n 3", CELLS),
+        ("betti --space punctual --n 3", CELLS),
+        ("incidence --n 3", INCIDENCE),
+        ("strata --n 3", INCIDENCE),
+        ("nakajima --n 3", LATTICE),
+        ("lattice --blowup 2", LATTICE),
+        ("goettsche --betti 1,0,1,0,1 --torder 2", SERIES),
+        ("goettsche --betti 1,0,1,0,1 --torder 2 --compare-fixed-points", SERIES | CELLS),
+        ("verify --all --nmax 2", {f"hilb.{layer}" for layer in LAYERS}),
+    ],
+)
+def test_subcommand_loads_only_its_layers(argv, layers):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", PROBE, *argv.split(), "--format", "json"],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    code, dataclasses_loaded, *loaded = proc.stderr.split()
+    assert (code, dataclasses_loaded) == ("0", "False")
+    assert set(loaded) == BASE | layers
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from hilb import *", namespace)
+    assert set(hilb.__all__) <= set(namespace)
+
+
+def test_each_reexport_is_its_layers_object():
+    exported = {"__version__"}
+    for layer, names in hilb._EXPORTS.items():
+        module = importlib.import_module(f"hilb.{layer}")
+        for name in names:
+            assert getattr(hilb, name) is getattr(module, name), name
+        exported.update(names)
+    assert exported == set(hilb.__all__)
+
+
+def test_dir_lists_layers_and_reexports():
+    assert set(hilb.__all__) | set(LAYERS) <= set(dir(hilb))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="^module 'hilb' has no attribute 'no_such_name'$"):
+        hilb.no_such_name
+    assert not hasattr(hilb, "no_such_name")
+
+
+def test_non_generic_error_is_one_class():
+    assert hilb.equivariant.NonGenericError is hilb.errors.NonGenericError
+    assert hilb.NonGenericError is hilb.errors.NonGenericError
+
+
+@pytest.mark.parametrize(
+    "record, shown",
+    [
+        (
+            hilb.NestedPair(hilb.Partition((2,)), hilb.Partition((2, 1))),
+            "NestedPair(lower=Partition(2,), upper=Partition(2, 1))",
+        ),
+        (hilb.strata_table(2), "StrataBoundTable(n=2, bounds={1: 6, 2: 4, 3: 2})"),
+        (hilb.DivisorClass((1, -2)), "DivisorClass(coords=(1, -2))"),
+        (hilb.NakajimaSequence((1, -2)), "NakajimaSequence(values=(1, -2))"),
+    ],
+)
+def test_validated_records_are_frozen_values(record, shown):
+    assert repr(record) == shown
+    field = type(record).__slots__[0]
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError, match="is immutable"):
+        delattr(record, field)
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and copy is not record
+    assert record != tuple(getattr(record, name) for name in type(record).__slots__)
+
+
+# One cli-oneshot golden per subcommand that has one, spread over the three formats.
+PROCESS_GOLDENS = [
+    "partitions --n 5 --format table",
+    "betti --space p2 --n 3 --format json",
+    "incidence --n 12 --check all --format csv",
+    "strata --n 8 --format table",
+    "nakajima --n 60 --method both --format json",
+    "lattice --blowup 3 --format csv",
+    "goettsche --betti 1,0,1,0,1 --torder 6 --compare-fixed-points --format table",
+]
+
+
+def run_process(argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "hilb.cli", *argv.split()],
+        env=child_env(), capture_output=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("argv", PROCESS_GOLDENS)
+def test_process_output_matches_bench_goldens(argv):
+    # as `python -m hilb.cli`, where cli runs as __main__ and its handlers'
+    # relative imports resolve through the package
+    goldens = json.loads((ROOT / "perfbench" / "goldens.json").read_text())["cli-oneshot"]
+    proc = run_process(argv)
+    got = {
+        "sha256": hashlib.sha256(proc.stdout).hexdigest(),
+        "bytes": len(proc.stdout),
+        "exit": proc.returncode,
+    }
+    assert (got, proc.stderr) == (goldens[argv], b"")
+
+
+def test_verify_process_matches_in_process(capsys):
+    # no golden holds verify's stdout, so compare the process with main()
+    argv = "verify --all --nmax 4 --format json"
+    proc = run_process(argv)
+    code = cli.main(argv.split())
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (code, capsys.readouterr().out, b"")
