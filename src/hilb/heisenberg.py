@@ -19,10 +19,13 @@ Annihilation operators act as derivations with
     [a_m(alpha), a_{-k}(beta)] = delta_{mk} * c_m * <alpha, beta> * id,
 
 where c_m is the m-th Nakajima constant, imported from the intersection
-calculus rather than re-derived; commutator_checks verifies the relation
-on spanning probe states for a list of (m, k, alpha, beta), sharing each
-probe's creation and annihilation images within one call, and
-commutator_check is its one-quadruple case.
+calculus rather than re-derived (and imported only when an operator
+needs it, so the series alone never load the lattice layer).
+commutator_checks verifies the relation on spanning probe states for a
+list of (m, k, alpha, beta): it tags every probe's monomials with the
+probe's index and puts them into one state, so each kernel makes a single
+pass over all probes and a probe fails iff its tag survives in the
+residue. commutator_check is its one-quadruple case.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from typing import Iterable, NamedTuple, Optional
 
 from .common import format_poly
 from .errors import as_int
-from .lattice import nakajima_closed_form
 
 
 class SurfaceModel:
@@ -366,21 +368,19 @@ def _created(terms: dict, factor: tuple[int, str]) -> dict:
 def _annihilated(terms: dict, m: int, alpha: str, pairing: dict, cm: int) -> dict:
     """Canonical terms under a_m(alpha), with c_m = cm and the surface's pairing.
 
-    Each matching factor a_{-m}(beta) is removed once, contributing its
+    The factors a_{-m}(beta) that alpha pairs with are listed once per
+    call; each one present in a monomial is removed once, contributing its
     multiplicity times c_m <alpha, beta>.
     """
+    partners = [((m, beta), cm * ip) for (a, beta), ip in pairing.items() if a == alpha]
     out: dict[FockMonomial, int] = {}
     for mono, c in terms.items():
-        prev = None
-        for pos, factor in enumerate(mono):
-            # equal factors are adjacent in a sorted monomial
-            if factor[0] != m or factor == prev:
-                continue
-            prev = factor
-            ip = pairing.get((alpha, factor[1]))
-            if ip:
+        for factor, weight in partners:
+            copies = mono.count(factor)
+            if copies:
+                pos = mono.index(factor)
                 reduced = mono[:pos] + mono[pos + 1 :]
-                out[reduced] = out.get(reduced, 0) + c * mono.count(factor) * cm * ip
+                out[reduced] = out.get(reduced, 0) + c * copies * weight
     return {mono: c for mono, c in out.items() if c}
 
 
@@ -397,6 +397,8 @@ def annihilate(state: FockState, m: int, alpha: str) -> FockState:
     Every beta of a state was checked when it entered, so the pairing is
     read without re-validating it.
     """
+    from .lattice import nakajima_closed_form
+
     _check_level(m, "annihilation")
     surface = state.surface
     surface.degree(alpha)
@@ -450,13 +452,19 @@ def commutator_checks(
     """Verify [a_m(alpha), a_{-k}(beta)] on probe states, one report per quadruple.
 
     Each (m, k, alpha, beta) must act as delta_{mk} * c_m * <alpha, beta>
-    times the identity. Every level and label is validated before any
-    probe is touched. Within one call each probe's image under a_{-k}(beta)
-    is computed once per (k, beta) and under a_m(alpha) once per
-    (m, alpha), and shared by every quadruple that needs it; nothing is
-    kept after the call. Default probes span every monomial of `surface`
-    through t-weight 6.
+    times the identity. Every level and label, and every probe built on
+    another surface, is validated before any probe is touched. All probes
+    go into one tagged state: each monomial of probe i is prefixed with
+    the factor (0, i), whose level 0 sorts before every real factor and
+    pairs with nothing. So each kernel makes one pass over all probes: the
+    image under a_{-k}(beta) once per (k, beta), under a_m(alpha) once per
+    (m, alpha), and the residue [a_m(alpha), a_{-k}(beta)] - scalar once
+    per quadruple; a probe fails iff its tag is left in the residue.
+    Nothing is kept after the call. Default probes span every monomial of
+    `surface` through t-weight 6.
     """
+    from .lattice import nakajima_closed_form
+
     checked = []
     for m, k, alpha, beta in quads:
         _check_level(m, "annihilation")
@@ -466,33 +474,33 @@ def commutator_checks(
         checked.append((m, k, alpha, beta, cm, cm * ip if m == k else 0))
     if probes is None:
         probes = [FockState(surface, {mono: 1}) for mono in basis_monomials(surface, 6)]
-    probes = list(probes)
-    terms = [probe.terms for probe in probes]
+    # a probe's labels were checked against its own surface only
+    terms = [
+        (p if p.surface is surface else FockState(surface, p.terms)).terms
+        for p in probes
+    ]
+    tagged = {
+        ((0, i),) + mono: c for i, probe in enumerate(terms) for mono, c in probe.items()
+    }
     pairing = surface._pairing
-    created: dict[tuple[int, str], list[dict]] = {}
-    annihilated: dict[tuple[int, str], list[dict]] = {}
-    expected: dict[int, list[dict]] = {}
+    created: dict[tuple[int, str], dict] = {}
+    annihilated: dict[tuple[int, str], dict] = {}
     reports = []
     for m, k, alpha, beta, cm, scalar in checked:
         factor = (k, beta)
         if factor not in created:
-            created[factor] = [_created(t, factor) for t in terms]
+            created[factor] = _created(tagged, factor)
         if (m, alpha) not in annihilated:
-            annihilated[m, alpha] = [
-                _annihilated(t, m, alpha, pairing, cm) for t in terms
-            ]
-        if scalar not in expected:
-            expected[scalar] = [(scalar * probe).terms for probe in probes]
-        want = expected[scalar]
-        failures = []
-        for idx, (up, down) in enumerate(zip(created[factor], annihilated[m, alpha])):
-            lhs = _merged(
-                _annihilated(up, m, alpha, pairing, cm), _created(down, factor), -1
-            )
-            if lhs != want[idx]:
-                failures.append(idx)
+            annihilated[m, alpha] = _annihilated(tagged, m, alpha, pairing, cm)
+        commutator = _merged(
+            _annihilated(created[factor], m, alpha, pairing, cm),
+            _created(annihilated[m, alpha], factor),
+            -1,
+        )
+        residue = _merged(commutator, tagged, -scalar) if scalar else commutator
+        failures = tuple(sorted({mono[0][1] for mono in residue}))
         reports.append(
-            CommutatorReport(m, k, alpha, beta, scalar, len(probes), tuple(failures))
+            CommutatorReport(m, k, alpha, beta, scalar, len(terms), failures)
         )
     return reports
 
@@ -509,7 +517,7 @@ def commutator_check(
 
     Expected action: delta_{mk} * c_m * <alpha, beta> * identity. Default
     probes span every monomial through t-weight 6. This is the
-    one-quadruple case of commutator_checks, which shares each probe's
-    images across many quadruples within one call.
+    one-quadruple case of commutator_checks, which runs each kernel once
+    over all probes.
     """
     return commutator_checks(surface, [(m, k, alpha, beta)], probes)[0]

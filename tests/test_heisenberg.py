@@ -274,8 +274,8 @@ def test_commutator_on_skew_pairing_model():
     assert r.passed and r.scalar == -2
 
 
-def full_grid(surface, top):
-    labels = surface.labels()
+def full_grid(surface, top, labels=None):
+    labels = labels or surface.labels()
     return [
         (m, k, alpha, beta)
         for m in range(1, top + 1)
@@ -313,6 +313,85 @@ def test_commutator_checks_catch_a_broken_annihilator(monkeypatch):
         # the doubled commutator is 2 * scalar, so every probe fails iff scalar != 0
         want = tuple(range(len(probes))) if rep.scalar else ()
         assert rep.failures == want, rep
+
+
+def reference_failures(surface, quad, probes):
+    # one probe at a time, through the public operators only
+    m, k, alpha, beta = quad
+    scalar = nakajima_closed_form(m) * surface.pair(alpha, beta) if m == k else 0
+    return tuple(
+        idx
+        for idx, probe in enumerate(probes)
+        if annihilate(create(probe, k, beta), m, alpha)
+        - create(annihilate(probe, m, alpha), k, beta)
+        != scalar * probe
+    )
+
+
+def mixed_probes(surface, depth):
+    basis = basis_probes(surface, depth)
+    return [
+        vacuum(surface),
+        FockState(surface),  # the zero state
+        *basis[1 :: max(1, len(basis) // 6)],
+        basis[-1],
+        basis[-1],  # a repeated probe
+        3 * basis[1] - 2 * basis[-1] + basis[len(basis) // 2],
+        -5 * basis[2] + 7 * basis[3] - basis[0],
+    ]
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["real", "broken"])
+@pytest.mark.parametrize(
+    "surface, labels, top, depth, bad",
+    [
+        (P2, None, 3, 4, (1, "h")),
+        (SKEW, None, 3, 3, (1, "f1")),
+        (K3, ("1", "e1", "e2", "pt"), 2, 2, (1, "e1")),
+    ],
+    ids=["p2", "skew", "k3"],
+)
+def test_commutator_checks_match_a_per_probe_reference(
+    monkeypatch, broken, surface, labels, top, depth, bad
+):
+    if broken:
+        kernel = hilb.heisenberg._annihilated
+
+        def drops_bad(terms, *rest):
+            # a_m(alpha) wrongly kills every monomial that holds the factor `bad`
+            return kernel({mono: c for mono, c in terms.items() if bad not in mono}, *rest)
+
+        monkeypatch.setattr(hilb.heisenberg, "_annihilated", drops_bad)
+    probes = mixed_probes(surface, depth)
+    quads = full_grid(surface, top, labels)
+    reports = commutator_checks(surface, quads, probes)
+    assert [rep.failures for rep in reports] == [
+        reference_failures(surface, quad, probes) for quad in quads
+    ]
+    assert {rep.probes_checked for rep in reports} == {len(probes)}
+    nonzero = {idx for idx, probe in enumerate(probes) if not probe.is_zero()}
+    partial = [rep for rep in reports if rep.failures and set(rep.failures) < nonzero]
+    # only the broken run fails, and there only on some of the probes
+    assert bool(partial) == broken
+    assert all(rep.passed for rep in reports) != broken
+
+
+def test_commutator_checks_revalidate_probes_from_another_surface(monkeypatch):
+    foreign = FockState(K3, {((1, "e5"),): 1})  # e5 is no class of the plane
+    with pytest.raises(ValueError, match="no cohomology class named 'e5'"):
+        commutator_checks(P2, [(1, 1, "h", "h")], [foreign])
+    for name in ("_created", "_annihilated"):
+        monkeypatch.setattr(hilb.heisenberg, name, None)  # no probe may be touched
+    with pytest.raises(ValueError, match="no cohomology class named 'e5'"):
+        commutator_checks(P2, [(1, 1, "h", "h")], [vacuum(P2), foreign])
+    monkeypatch.undo()
+    # another model of the plane: its labels are valid here, so it is checked
+    twin = p2_surface()
+    probe = 2 * create(vacuum(twin), 1, "h") - vacuum(twin)
+    native = FockState(P2, probe.terms)
+    assert commutator_checks(P2, full_grid(P2, 2), [probe]) == commutator_checks(
+        P2, full_grid(P2, 2), [native]
+    )
 
 
 @pytest.mark.parametrize("probes", [[], None], ids=["no-probes", "default-probes"])

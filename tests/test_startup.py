@@ -43,7 +43,7 @@ BASE = {"hilb", "hilb.cli", "hilb.errors"}
 CELLS = {"hilb.common", "hilb.partitions", "hilb.equivariant"}
 INCIDENCE = {"hilb.common", "hilb.partitions", "hilb.monomial", "hilb.incidence"}
 LATTICE = {"hilb.common", "hilb.lattice"}
-SERIES = LATTICE | {"hilb.heisenberg"}
+SERIES = {"hilb.common", "hilb.heisenberg"}
 
 
 @pytest.mark.parametrize(
