@@ -14,10 +14,10 @@ from hilb import (
     CharVector,
     Partition,
     cell_dimension,
+    enumerate_partitions,
     poincare_affine,
     poincare_p2,
     poincare_punctual,
-    punctual_cell_dims,
     tangent_weights,
 )
 
@@ -55,8 +55,10 @@ print("the n=2 polynomial 1 + 2q^2 + 3q^4 + 2q^6 + q^8 is the classical one.")
 
 print()
 print("=== Punctual locus: everything piled at one point ===")
+# the closed form, one cell of dimension n - (largest part) per partition,
+# beside the polynomial the tangent-weight cells give
 for n in range(1, 8):
-    dims = punctual_cell_dims(n)
+    dims = sorted(n - lam.parts[0] for lam in enumerate_partitions(n))
     print(f"  n={n}: cell dims {dims} -> {poincare_punctual(n)}")
 print("one cell per partition, top dimension n-1: the locus is a cone of")
 print("dimension n-1, exactly one dimension short of the n+1-dimensional")

@@ -26,8 +26,8 @@ from hilb import (
 print("=== Blowing up the plane at 3 points ===")
 lat = blow_up(p2_lattice(), 3)
 print(f"classes: {', '.join(lat.labels)}")
-for i, label in enumerate(lat.labels):
-    print(f"  {label:3} row of the intersection form: {lat.gram[i]}")
+for label, row in zip(lat.labels, lat.gram):
+    print(f"  {label:3} row of the intersection form: {row}")
 e_total = lat.cls("E1") + lat.cls("E2") + lat.cls("E3")
 print(f"(E1+E2+E3)^2 = {lat.pair(e_total, e_total)}")
 

@@ -40,7 +40,6 @@ _EXPORTS = {
         "AFFINE_CHART",
         "P2_CHART_WEIGHTS",
         "CharVector",
-        "ChartTuple",
         "NonGenericError",
         "PoincarePoly",
         "cell_dimension",
@@ -52,7 +51,6 @@ _EXPORTS = {
         "poincare_from_tables",
         "poincare_p2",
         "poincare_punctual",
-        "punctual_cell_dims",
         "tangent_weights",
     ),
     "incidence": (

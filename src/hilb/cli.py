@@ -186,9 +186,8 @@ def cmd_lattice(args) -> tuple[dict, dict, int]:
         }
         return params, payload, 0
     blown = blow_up(p2_lattice(), args.blowup)
-    rows = [
-        [blown.labels[i]] + list(blown.gram[i]) for i in range(blown.rank)
-    ]
+    # gram builds the dense matrix on each access, so read it once
+    rows = [[label, *row] for label, row in zip(blown.labels, blown.gram)]
     payload = {
         "rank": blown.rank,
         "columns": ["class"] + list(blown.labels),

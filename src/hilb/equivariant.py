@@ -166,14 +166,6 @@ def _arm_legs(lam: Partition) -> list[tuple[int, int]]:
     return [(p - c - 1, cols[c] - r - 1) for r, p in enumerate(lam.parts) for c in range(p)]
 
 
-def _box_weights(a: int, l: int, u: CharVector, v: CharVector) -> tuple[CharVector, CharVector]:
-    """The two tangent weights of a box with arm a and leg l, as in tangent_weights."""
-    return (
-        CharVector((a + 1) * u.a - l * v.a, (a + 1) * u.b - l * v.b),
-        CharVector(-a * u.a + (l + 1) * v.a, -a * u.b + (l + 1) * v.b),
-    )
-
-
 def cell_tables(
     space: str, n: int, rho: Optional[CharVector] = None
 ) -> tuple[CharVector, list[CellTable]]:
@@ -186,10 +178,10 @@ def cell_tables(
     rho with its characters u and v once, to pu and pv; the two weights
     of a box then pair to (a+1)*pu - l*pv and (l+1)*pv - a*pu, worked out
     once per distinct (arm, leg) pair. With rho omitted it is
-    default_rho(n), wall-free by proof and still scanned like any other;
-    a rho on a wall raises NonGenericError naming its first zero weight
-    in chart, size, partition and box order, as cell_dimension over
-    tangent_weights does.
+    default_rho(n), wall-free by proof and still scanned like any other.
+    Only a rho on a wall builds weight vectors: cell_dimension over
+    tangent_weights, in chart, size and partition order, raises
+    NonGenericError naming the first zero weight.
     """
     if n < 0:
         raise ValueError(f"negative length: {n}")
@@ -199,7 +191,8 @@ def cell_tables(
         charts, sizes = P2_CHART_WEIGHTS, range(n, -1, -1)
     else:
         raise ValueError(f"no cell tables for space {space!r}")
-    hooks = {s: [_arm_legs(lam) for lam in enumerate_partitions(s)] for s in sizes}
+    lams = {s: enumerate_partitions(s) for s in sizes}
+    hooks = {s: [_arm_legs(lam) for lam in ls] for s, ls in lams.items()}
     pairs = {h for hl in hooks.values() for hs in hl for h in hs}
     rho = default_rho(n) if rho is None else CharVector(*rho)
     if n == 0 and rho == (0, 0):
@@ -213,9 +206,9 @@ def cell_tables(
         pairings = {(a, l): ((a + 1) * pu - l * pv, (l + 1) * pv - a * pu) for a, l in pairs}
         if not all(p1 and p2 for p1, p2 in pairings.values()):
             # rho is on a wall: cell_dimension raises at its first zero weight
-            for hl in hooks.values():
-                for hs in hl:
-                    cell_dimension([w for h in hs for w in _box_weights(*h, u, v)], rho)
+            for ls in lams.values():
+                for lam in ls:
+                    cell_dimension(tangent_weights(lam, u, v), rho)
         neg = {h: (p1 < 0) + (p2 < 0) for h, (p1, p2) in pairings.items()}
         table: CellTable = {}
         for s, hl in hooks.items():
@@ -257,27 +250,11 @@ def poincare_affine(n: int, rho: Optional[CharVector] = None) -> PoincarePoly:
     return poincare_from_tables(cell_tables("affine", n, rho)[1], n)
 
 
-class ChartTuple(NamedTuple):
-    """A fixed point of the Hilbert scheme of the projective plane.
-
-    One partition per coordinate chart, sizes summing to n, each chart
-    carrying its own pair of coordinate characters from P2_CHART_WEIGHTS.
-    """
-
-    partitions: tuple[Partition, Partition, Partition]
-
-    def weights(self) -> list[CharVector]:
-        out: list[CharVector] = []
-        for lam, (u, v) in zip(self.partitions, P2_CHART_WEIGHTS):
-            out.extend(tangent_weights(lam, u, v))
-        return out
-
-
-def fixed_points_p2(n: int) -> list[ChartTuple]:
+def fixed_points_p2(n: int) -> list[tuple[Partition, Partition, Partition]]:
     """All torus-fixed points of the Hilbert scheme of n points on P^2.
 
-    Triples of partitions with sizes summing to n, sizes enumerated in
-    descending order chart by chart.
+    Triples of partitions, one per chart of P2_CHART_WEIGHTS, with sizes
+    summing to n, sizes enumerated in descending order chart by chart.
     """
     if n < 0:
         raise ValueError(f"negative length: {n}")
@@ -288,7 +265,7 @@ def fixed_points_p2(n: int) -> list[ChartTuple]:
             for la in enumerate_partitions(a):
                 for lb in enumerate_partitions(b):
                     for lc in enumerate_partitions(c):
-                        out.append(ChartTuple((la, lb, lc)))
+                        out.append((la, lb, lc))
     return out
 
 
@@ -301,18 +278,14 @@ def poincare_p2(n: int, rho: Optional[CharVector] = None) -> PoincarePoly:
     return poincare_from_tables(cell_tables("p2", n, rho)[1], n)
 
 
-def punctual_cell_dims(n: int) -> list[int]:
-    """Cell dimensions of the punctual locus (all length n at one point).
+def poincare_punctual(n: int) -> PoincarePoly:
+    """Poincare polynomial of the punctual locus: all n points at one point.
 
-    One cell per partition, of dimension n minus the largest part;
-    returned sorted ascending. The largest value, n - 1, is the
-    dimension of the whole punctual locus, and the cell count is p(n).
+    The scaling action of the plane retracts the Hilbert scheme of n
+    points on it onto the punctual locus at the origin (Ellingsrud and
+    Stromme, Invent. Math. 87, 1987), so the two share their Betti numbers
+    and this is poincare_affine(n), counted from the same cells.
     """
     if n < 1:
         raise ValueError("punctual locus undefined for n = 0")
-    return sorted(n - lam.parts[0] for lam in enumerate_partitions(n))
-
-
-def poincare_punctual(n: int) -> PoincarePoly:
-    """Poincare polynomial of the punctual locus at a fixed point."""
-    return PoincarePoly.from_cell_dims(punctual_cell_dims(n))
+    return poincare_affine(n)

@@ -256,11 +256,13 @@ class FockState:
     """Integer linear combination of commuting creation monomials.
 
     Invariant: `terms` maps sorted monomials to non-zero integer
-    coefficients, and every factor has level >= 1 and a label of
-    `surface`. Only this public constructor validates and canonicalises
-    its input; `create`, `annihilate`, `+`, `-` and `k *` start from
-    states that already hold the invariant and build canonical terms
-    directly through `_of`, which checks nothing.
+    coefficients, and every factor has an integer level >= 1 and a label
+    of `surface`. Only this public constructor validates and
+    canonicalises its input, coercing levels and coefficients with
+    errors.as_int; `create`, `annihilate`, `+`, `-` and `k *` (which
+    coerces k the same way) start from states that already hold the
+    invariant and build canonical terms directly through `_of`, which
+    checks nothing.
     """
 
     __slots__ = ("surface", "terms")
@@ -268,11 +270,18 @@ class FockState:
     def __init__(self, surface: SurfaceModel, terms: Optional[dict] = None):
         clean: dict[FockMonomial, int] = {}
         for mono, c in (terms or {}).items():
+            # an exact int needs no coercion, and this loop runs once per probe
+            for level, _ in mono:
+                if type(level) is not int:
+                    mono = [(as_int(lv, "creation levels must be integers"), lb) for lv, lb in mono]
+                    break
             mono = tuple(sorted(mono))
             for level, label in mono:
                 if level < 1:
                     raise ValueError(f"creation level must be at least 1: {level}")
                 surface.degree(label)
+            if type(c) is not int:
+                c = as_int(c, "Fock coefficients must be integers")
             if c:
                 clean[mono] = clean.get(mono, 0) + c
         self.surface = surface
@@ -315,6 +324,7 @@ class FockState:
         return self._plus(other, -1)
 
     def __rmul__(self, k: int) -> "FockState":
+        k = as_int(k, "a Fock state scales by integers only")
         terms = {m: k * c for m, c in self.terms.items()} if k else {}
         return FockState._of(self.surface, terms)
 

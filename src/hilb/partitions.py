@@ -17,7 +17,6 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import as_int
@@ -213,27 +212,24 @@ def _descending_lex(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(x[:m])
 
 
-@lru_cache(maxsize=None)
 def pentagonal_partition_count(n: int) -> int:
     """Partition count p(n) by Euler's pentagonal-number recurrence.
 
-    Deliberately shares no code with enumerate_partitions so the two can
-    cross-check each other.
+    p(m) = sum over k >= 1 of (-1)^(k-1) * (p(m - g_k) + p(m - g_k - k)),
+    with g_k = k(3k-1)/2 and p of a negative number 0, is filled in bottom-up
+    for m = 1..n, so no size reaches the recursion limit. Deliberately shares
+    no code with enumerate_partitions so the two can cross-check each other.
     """
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g = k * (3 * k - 1) // 2
-        if g > n:
-            break
-        sign = 1 if k % 2 else -1
-        total += sign * pentagonal_partition_count(n - g)
-        h = k * (3 * k + 1) // 2
-        if h <= n:
-            total += sign * pentagonal_partition_count(n - h)
-        k += 1
-    return total
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - g]
+            if g + k <= m:
+                total += sign * p[m - g - k]
+            k += 1
+        p.append(total)
+    return p[n]

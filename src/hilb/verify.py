@@ -14,11 +14,11 @@ from typing import Callable, NamedTuple, Optional
 from .equivariant import (
     AFFINE_CHART,
     CharVector,
+    PoincarePoly,
     fixed_points_p2,
     poincare_affine,
     poincare_p2,
     poincare_punctual,
-    punctual_cell_dims,
     tangent_weights,
 )
 from .heisenberg import (
@@ -235,12 +235,13 @@ def check_chamber_independence(top_a: int, top_p: int) -> str:
 
 @_check("punctual-cells", "n<={top}", top=lambda nmax: min(nmax, 25))
 def check_punctual(top: int) -> str:
-    """Punctual cells: count p(n), top dimension n-1, conjugation-stable."""
+    """Punctual cells from tangent weights vs one cell of dimension n - lambda_1 each."""
     for n in range(1, top + 1):
-        dims = punctual_cell_dims(n)
-        _expect(len(dims) == pentagonal_partition_count(n), "count at n={}", n)
-        _expect(max(dims) == punctual_locus_dim(n), "top dim at n={}", n)
-        _expect(poincare_punctual(n).evaluate(1) == len(dims), "Euler at n={}", n)
+        poly = poincare_punctual(n)
+        want = PoincarePoly.from_cell_dims(n - lam.parts[0] for lam in enumerate_partitions(n))
+        _expect(poly.evaluate(1) == pentagonal_partition_count(n), "count at n={}", n)
+        _expect(poly.degree == 2 * punctual_locus_dim(n), "top dim at n={}", n)
+        _expect(poly == want, "cells at n={}: {} != {}", n, poly, want)
     return "count, top dim, Euler all match"
 
 
@@ -264,7 +265,7 @@ def check_strata_bounds(top: int) -> str:
     return "bounds and codims verified"
 
 
-@_check("exceptional-square", "n<={top}", top=lambda nmax: min(max(nmax, 50), 50))
+@_check("exceptional-square", "n<={top}", top=lambda nmax: 50)
 def check_exceptional_square(top: int) -> str:
     """E.E = -n over three different bases."""
     bases = (

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hilb import __version__, cli, verify
+from hilb import IntersectionLattice, __version__, cli, verify
 
 
 def run(capsys, argv):
@@ -61,6 +61,21 @@ def test_lattice_gram_table(capsys):
         ["E1", 0, -1, 0],
         ["E2", 0, 0, -1],
     ]
+
+
+def test_lattice_builds_the_dense_gram_once(capsys, monkeypatch):
+    # gram rebuilds the whole matrix on each access; once per row is cubic
+    dense, builds = IntersectionLattice.gram.fget, []
+
+    def counted(lattice):
+        builds.append(lattice.rank)
+        return dense(lattice)
+
+    monkeypatch.setattr(IntersectionLattice, "gram", property(counted))
+    code, record = run_json(capsys, ["lattice", "--blowup", "5"])
+    assert code == 0
+    assert len(record["payload"]["rows"]) == 6
+    assert builds == [6]
 
 
 def test_betti_punctual_frozen(capsys):

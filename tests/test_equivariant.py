@@ -15,15 +15,11 @@ from hilb import (
     enumerate_partitions,
     fixed_points_p2,
     format_poly,
-    pentagonal_partition_count,
     poincare_affine,
     poincare_p2,
     poincare_punctual,
-    punctual_cell_dims,
-    punctual_locus_dim,
     tangent_weights,
 )
-from hilb.equivariant import _box_weights
 
 STD = AFFINE_CHART
 
@@ -120,8 +116,11 @@ def test_default_rho_is_generic():
         for a in range(n):
             for l in range(n - a):
                 for u, v in P2_CHART_WEIGHTS:
-                    for w in _box_weights(a, l, u, v):
-                        assert rho.a * w.a + rho.b * w.b != 0, (n, a, l, u, v)
+                    for w in (
+                        ((a + 1) * u.a - l * v.a, (a + 1) * u.b - l * v.b),
+                        (-a * u.a + (l + 1) * v.a, -a * u.b + (l + 1) * v.b),
+                    ):
+                        assert rho.a * w[0] + rho.b * w[1] != 0, (n, a, l, u, v)
 
 
 def test_fixed_points_p2_counts():
@@ -129,7 +128,8 @@ def test_fixed_points_p2_counts():
         pts = fixed_points_p2(n)
         assert len(pts) == want
         for pt in pts:
-            assert sum(p.size for p in pt.partitions) == n
+            assert len(pt) == 3
+            assert sum(p.size for p in pt) == n
 
 
 def test_poincare_p2_frozen():
@@ -173,31 +173,21 @@ def test_p2_chart_weights_constant():
 
 
 def test_punctual_cells_frozen():
-    assert punctual_cell_dims(1) == [0]
-    assert punctual_cell_dims(2) == [0, 1]
+    assert poincare_punctual(1) == PoincarePoly({0: 1})
+    assert poincare_punctual(2) == PoincarePoly({0: 1, 2: 1})
     assert str(poincare_punctual(3)) == "1 + q^2 + q^4"
     assert str(poincare_punctual(4)) == "1 + q^2 + 2q^4 + q^6"
     assert str(poincare_punctual(6)) == "1 + q^2 + 2q^4 + 3q^6 + 3q^8 + q^10"
-    with pytest.raises(ValueError, match="undefined"):
-        punctual_cell_dims(0)
-
-
-def test_punctual_invariants():
-    for n in range(1, 26):
-        dims = punctual_cell_dims(n)
-        assert len(dims) == pentagonal_partition_count(n)
-        assert dims == sorted(dims)
-        assert dims[0] == 0
-        assert dims[-1] == punctual_locus_dim(n) == n - 1
-        # the statistic n - (largest part) maps to n - (number of parts)
-        # under conjugation, so the multiset is self-paired
-        assert sorted(n - len(lam) for lam in enumerate_partitions(n)) == dims
+    with pytest.raises(ValueError, match="undefined for n = 0"):
+        poincare_punctual(0)
 
 
 def brute_poincare_p2(n, rho=None):
     # the former route: every fixed point's whole weight list, one by one
-    pts = fixed_points_p2(n)
-    wlists = [pt.weights() for pt in pts]
+    wlists = [
+        [w for lam, (u, v) in zip(pt, P2_CHART_WEIGHTS) for w in tangent_weights(lam, u, v)]
+        for pt in fixed_points_p2(n)
+    ]
     if rho is None:
         rho = default_rho(n)
     return rho, PoincarePoly.from_cell_dims(cell_dimension(ws, rho) for ws in wlists)

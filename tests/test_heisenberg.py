@@ -161,6 +161,19 @@ def test_state_linear_algebra():
     )
 
 
+def test_fock_states_hold_integers_only():
+    h = ((1, "h"),)
+    with pytest.raises(ValueError, match="Fock coefficients must be integers, got 1.5"):
+        FockState(P2, {h: 1.5})
+    with pytest.raises(ValueError, match="creation levels must be integers, got 1.0"):
+        FockState(P2, {((1.0, "h"),): 1})
+    with pytest.raises(ValueError, match="scales by integers only, got 2.5"):
+        2.5 * vacuum(P2)
+    # bools are integers, as for every other integer input
+    assert FockState(P2, {((True, "h"),): True}) == FockState(P2, {h: 1})
+    assert True * vacuum(P2) == vacuum(P2)
+
+
 @st.composite
 def two_states_and_a_factor(draw):
     # monomials are drawn unsorted and may repeat up to order, so the public

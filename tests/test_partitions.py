@@ -79,6 +79,13 @@ def test_counts_match_two_independent_oracles():
         assert pentagonal_partition_count(n) == want
 
 
+def test_pentagonal_count_at_large_sizes():
+    # far past the recursion limit that a recursive recurrence would hit
+    assert pentagonal_partition_count(1000) == 24061467864032622473692149727991
+    assert pentagonal_partition_count(500) == 2300165032574323995027
+    assert pentagonal_partition_count(-1) == 0
+
+
 def test_descending_lex_order():
     for n in range(15):
         parts = [p.parts for p in enumerate_partitions(n)]

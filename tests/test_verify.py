@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from hilb import CommutatorReport, cli, verify
+from hilb import (
+    CommutatorReport,
+    PoincarePoly,
+    cli,
+    pentagonal_partition_count,
+    poincare_affine,
+    verify,
+)
 from hilb.verify import ALL_CHECKS, run_checks
 from test_acceptance import ROWS
 
@@ -36,6 +43,11 @@ BROKEN = [
     ("nakajima", "nakajima_closed_form", lambda n: 0, "mismatch at n=1"),
     ("partition-counts", "pentagonal_partition_count", lambda n: n + 7, "p(0): 1 != 7"),
     ("chamber-independence", "poincare_affine", lambda n, rho: rho, "affine n=0 rho=(2, 1)"),
+    ("punctual-cells", "poincare_punctual", lambda n: poincare_affine(n - 1), "count at n=2"),
+    # right count and top cell, wrong cells in between
+    ("punctual-cells", "poincare_punctual",
+     lambda n: PoincarePoly({0: pentagonal_partition_count(n) - 1, 2 * n - 2: 1}),
+     "cells at n=3: 2 + q^4 != 1 + q^2 + q^4"),
 ]
 
 
