@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .common import format_poly
-from .errors import NonGenericError
+from .errors import NonGenericError, as_int
 from .partitions import Partition, as_partition, enumerate_partitions
 
 # NonGenericError and format_poly are defined in leaf modules, so that
@@ -88,6 +88,10 @@ class PoincarePoly:
     def __init__(self, coeffs: Optional[dict[int, int]] = None):
         clean: dict[int, int] = {}
         for d, c in (coeffs or {}).items():
+            # exact ints need no coercion, and every Betti polynomial is built here
+            if type(d) is not int or type(c) is not int:
+                d = as_int(d, "degrees must be integers")
+                c = as_int(c, "coefficients must be integers")
             if d < 0 or d % 2:
                 raise ValueError(f"degrees must be even and non-negative, got {d}")
             if c < 0:
@@ -287,5 +291,5 @@ def poincare_punctual(n: int) -> PoincarePoly:
     and this is poincare_affine(n), counted from the same cells.
     """
     if n < 1:
-        raise ValueError("punctual locus undefined for n = 0")
+        raise ValueError(f"punctual locus undefined for n = {n}")
     return poincare_affine(n)

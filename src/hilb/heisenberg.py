@@ -144,10 +144,16 @@ class GradedSeries:
     __slots__ = ("truncation", "coeffs")
 
     def __init__(self, truncation: int, coeffs: Optional[dict] = None):
+        truncation = as_int(truncation, "truncation must be an integer")
         if truncation < 0:
             raise ValueError(f"truncation must be non-negative, got {truncation}")
         clean: dict[tuple[int, int], int] = {}
         for (n, m), c in (coeffs or {}).items():
+            # exact ints need no coercion, and every series term is built here
+            if type(n) is not int or type(m) is not int or type(c) is not int:
+                n = as_int(n, "t-degrees must be integers")
+                m = as_int(m, "u-degrees must be integers")
+                c = as_int(c, "series coefficients must be integers")
             if not 0 <= n <= truncation:
                 raise ValueError(f"t-degree out of range: {n}")
             if m < 0 or m % 2 or m > 4 * n:

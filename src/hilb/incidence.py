@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Optional
 
 from .common import Record
-from .errors import ConsistencyError
+from .errors import ConsistencyError, as_int
 from .monomial import generator_count, socle_count
 from .partitions import Partition, as_partition, enumerate_partitions
 
@@ -38,6 +38,7 @@ class NestedPair(Record):
 
 def nested_pairs(n: int) -> list[NestedPair]:
     """Fixed points of the nested Hilbert scheme of lengths (n, n+1)."""
+    n = as_int(n, "length must be an integer")
     if n < 0:
         raise ValueError(f"negative length: {n}")
     return [
@@ -102,6 +103,7 @@ class StrataBoundTable(Record):
     __slots__ = ("n", "bounds")
 
     def __init__(self, n: int, bounds: Mapping[int, int]):
+        n = as_int(n, "table size must be an integer")
         if n < 1:
             raise ValueError(f"table size must be at least 1, got {n}")
         for i, b in bounds.items():
@@ -127,6 +129,7 @@ class StrataBoundTable(Record):
 
     def bound(self, i: int) -> Optional[int]:
         """Bound at index i, or None for an empty stratum."""
+        i = as_int(i, "stratum indices must be integers")
         if i < 1:
             raise ValueError(f"stratum index must be at least 1, got {i}")
         return self.bounds.get(i)
@@ -135,6 +138,50 @@ class StrataBoundTable(Record):
 def strata_base() -> StrataBoundTable:
     """Exact dimensions at size 1: the product surface and its diagonal."""
     return StrataBoundTable(1, {1: 4, 2: 2})
+
+
+def _scores(t: StrataBoundTable) -> list[int]:
+    """score[j] = bound(j, n) + (j - 1), or -1 for an empty stratum.
+
+    The list runs over j = 0 .. max_index + 2, so index 0 and the two past
+    the top are -1. Every real score is non-negative, so a window maximum
+    of -1 means no source.
+    """
+    score = [-1] * (t.max_index + 3)
+    for j, b in t.bounds.items():
+        score[j] = b + j - 1
+    return score
+
+
+def _strata_step(n: int, score: list[int]) -> tuple[dict[int, int], list[int]]:
+    """Bounds at size n+1, and their score list, from the score list at size n.
+
+    For each i >= 2, best is the maximum of the window score[i-1],
+    score[i], score[i+1], taken by two comparisons; a non-negative best
+    gives bound(i, n+1) = best - (i - 2), whose own score is best + 1.
+    """
+    ambient = 2 * n + 4
+    new = {1: ambient}
+    nxt = [-1, ambient]
+    append = nxt.append
+    a, b = score[1], score[2]
+    i = 2
+    for c in score[3:]:
+        best = a if a > b else b
+        if c > best:
+            best = c
+        if best >= 0:
+            new[i] = best - i + 2
+            append(best + 1)
+        else:
+            append(-1)
+        a = b
+        b = c
+        i += 1
+    while nxt[-1] < 0:
+        nxt.pop()
+    nxt += (-1, -1)
+    return new, nxt
 
 
 def strata_propagate(t: StrataBoundTable) -> StrataBoundTable:
@@ -146,28 +193,23 @@ def strata_propagate(t: StrataBoundTable) -> StrataBoundTable:
     """
     if not isinstance(t, StrataBoundTable):
         raise ValueError(f"malformed table: {t!r}")
-    n = t.n
-    top = t.max_index
-    # score[j] = bound(j, n) + (j - 1), or -1 for an empty stratum; every
-    # real score is non-negative, so a window maximum of -1 means no source.
-    score = [-1] * (top + 3)
-    for j, b in t.bounds.items():
-        score[j] = b + j - 1
-    new = {1: 2 * (n + 1) + 2}
-    windows = map(max, score[1 : top + 1], score[2 : top + 2], score[3 : top + 3])
-    for i, best in enumerate(windows, start=2):
-        if best >= 0:
-            new[i] = best - (i - 2)
-    return StrataBoundTable(n + 1, new)
+    return StrataBoundTable(t.n + 1, _strata_step(t.n, _scores(t))[0])
 
 
 def strata_table(n: int) -> StrataBoundTable:
-    """Table at size n, propagated up from the exact size-1 base case."""
+    """Table at size n, propagated up from the exact size-1 base case.
+
+    The score list is carried from step to step; every step's table is
+    still built, and so validated, by StrataBoundTable.
+    """
+    n = as_int(n, "table size must be an integer")
     if n < 1:
         raise ValueError(f"table size must be at least 1, got {n}")
     t = strata_base()
-    for _ in range(n - 1):
-        t = strata_propagate(t)
+    score = _scores(t)
+    for k in range(1, n):
+        bounds, score = _strata_step(k, score)
+        t = StrataBoundTable(k + 1, bounds)
     return t
 
 

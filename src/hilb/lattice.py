@@ -8,9 +8,11 @@ That single integral drives the recurrence
 
 whose steps are carried out in exact rationals with the integrality of
 every c_n asserted, and whose values the closed form (-1)^(n-1) n must
-reproduce. The degree n+1 comes from the generically finite projection
-of the one-point locus upstairs, the 1/n^2 from pairing against the
-n-fold fiber class on both sides.
+reproduce. The recurrence blows up the empty base once, at N - 1 points,
+and step n pairs E = e_1 + ... + e_n with itself on that lattice. The
+degree n+1 comes from the generically finite projection of the one-point
+locus upstairs, the 1/n^2 from pairing against the n-fold fiber class on
+both sides.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ class DivisorClass(Record):
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[int, ...]):
-        coords = tuple(as_int(c, "coordinates must be integers") for c in coords)
+        coords = tuple(coords)
+        # exact ints need no coercion, and the recurrence builds a long class per step
+        if not {int}.issuperset(map(type, coords)):
+            coords = tuple(as_int(c, "coordinates must be integers") for c in coords)
         object.__setattr__(self, "coords", coords)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -174,6 +179,7 @@ def blow_up(L: IntersectionLattice, k: int) -> IntersectionLattice:
     Old classes keep their pairings; the new classes are numbered E<m+1>,
     E<m+2>, ... after the largest m of any existing E<digits> label.
     """
+    k = as_int(k, "the number of blown-up points must be an integer")
     if k < 0:
         raise ValueError(f"cannot blow up a negative number of points: {k}")
     r = L.rank
@@ -192,6 +198,7 @@ def exceptional_total_square(n: int, base: Optional[IntersectionLattice] = None)
     Computed through the lattice pairing, never short-circuited, so the
     orthogonality bookkeeping is exercised on every call.
     """
+    n = as_int(n, "the number of exceptional classes must be an integer")
     if n < 1:
         raise ValueError(f"need at least one exceptional class, got {n}")
     if base is None:
@@ -219,6 +226,7 @@ def punctual_locus_dim(n: int) -> int:
 
 def nakajima_closed_form(n: int) -> int:
     """The n-th Nakajima constant, (-1)^(n-1) n."""
+    n = as_int(n, "constants are indexed by integers")
     if n < 1:
         raise ValueError(f"constants are indexed from 1, got {n}")
     return (-1) ** (n - 1) * n
@@ -246,6 +254,7 @@ class NakajimaSequence(Record):
 
     def value(self, n: int) -> int:
         """c_n, 1-indexed."""
+        n = as_int(n, "constants are indexed by integers")
         if not 1 <= n <= len(self.values):
             raise ValueError(f"index out of range: {n}")
         return self.values[n - 1]
@@ -254,17 +263,22 @@ class NakajimaSequence(Record):
 def nakajima_recurrence(N: int) -> NakajimaSequence:
     """Constants c_1..c_N by the exceptional-class recurrence.
 
-    Each step divides by n before scaling by n+1 and pulls its -n factor
-    from exceptional_total_square on an honest blown-up lattice; any
-    non-integral step raises ConsistencyError.
+    One lattice, the empty base blown up at N - 1 points, serves every
+    step: step n pairs e_1 + ... + e_n with itself through
+    IntersectionLattice.pair, so each -n factor comes from the lattice's
+    pairing, in O(N) work. Each step divides by n before scaling by n+1;
+    any non-integral step raises ConsistencyError.
     """
     from fractions import Fraction  # only the recurrence needs it; lattices load without it
 
+    N = as_int(N, "the number of constants must be an integer")
     if N < 1:
         raise ValueError(f"need at least one constant, got {N}")
+    blown = blow_up(rank_zero_lattice(), N - 1)
     values = [1]
     for n in range(1, N):
-        e2 = exceptional_total_square(n)
+        total = DivisorClass((1,) * n + (0,) * (N - 1 - n))
+        e2 = blown.pair(total, total)
         step = Fraction(values[-1], n) * Fraction(e2, n) * (n + 1)
         if step.denominator != 1:
             raise ConsistencyError(f"non-integral constant at n={n + 1}: {step}")

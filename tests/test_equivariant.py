@@ -94,6 +94,15 @@ def test_poincare_poly_type():
         PoincarePoly({1: 1})
     with pytest.raises(ValueError):
         PoincarePoly({2: -1})
+    # degrees and coefficients are integers; bools pass
+    for coeffs, shown in (
+        ({2: 1.5}, r"coefficients must be integers, got 1\.5"),
+        ({2.0: 1}, r"degrees must be integers, got 2\.0"),
+        ({"2": 1}, r"degrees must be integers, got '2'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{shown}$"):
+            PoincarePoly(coeffs)
+    assert PoincarePoly({False: True}) == PoincarePoly({0: 1})
     assert format_poly({0: 1, 2: 1}, "u") == "1 + u^2"
 
 
@@ -178,8 +187,9 @@ def test_punctual_cells_frozen():
     assert str(poincare_punctual(3)) == "1 + q^2 + q^4"
     assert str(poincare_punctual(4)) == "1 + q^2 + 2q^4 + q^6"
     assert str(poincare_punctual(6)) == "1 + q^2 + 2q^4 + 3q^6 + 3q^8 + q^10"
-    with pytest.raises(ValueError, match="undefined for n = 0"):
-        poincare_punctual(0)
+    for n in (0, -2):  # the refusal names the n it was given
+        with pytest.raises(ValueError, match=f"^punctual locus undefined for n = {n}$"):
+            poincare_punctual(n)
 
 
 def brute_poincare_p2(n, rho=None):

@@ -125,6 +125,16 @@ def test_series_validation():
         GradedSeries(2, {(3, 0): 1})  # beyond truncation
     with pytest.raises(ValueError):
         GradedSeries(2, {(1, 6): 1})  # u-degree above 4n
+    # the truncation, both degrees and the coefficients are integers; bools pass
+    for call, shown in (
+        (lambda: GradedSeries(2.5, {}), r"truncation must be an integer, got 2\.5"),
+        (lambda: GradedSeries(2, {(1.0, 2): 1}), r"t-degrees must be integers, got 1\.0"),
+        (lambda: GradedSeries(2, {(1, "2"): 1}), r"u-degrees must be integers, got '2'"),
+        (lambda: GradedSeries(2, {(1, 2): 1.5}), r"series coefficients must be integers, got 1\.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{shown}$"):
+            call()
+    assert GradedSeries(True, {(True, 2): True}) == GradedSeries(1, {(1, 2): 1})
     series = goettsche_series(P2, 2)
     with pytest.raises(ValueError):
         series.t_slice(3)

@@ -181,3 +181,42 @@ def test_strata_propagate_skips_empty_strata():
     # here the i + 1 neighbour wins at i = 3: bound(4) + 3 = 12 beats 8 and 1
     t = StrataBoundTable(3, {1: 8, 2: 0, 4: 9})
     assert strata_propagate(t).bounds == {1: 10, 2: 8, 3: 11, 4: 10, 5: 9}
+
+
+def test_integer_arguments_are_coerced():
+    # StrataBoundTable(2.5, {1: 7}) used to build, since 2 * 2.5 + 2 == 7
+    with pytest.raises(ValueError, match=r"^table size must be an integer, got 2\.5$"):
+        StrataBoundTable(2.5, {1: 7})
+    with pytest.raises(ValueError, match=r"^table size must be an integer, got 2\.5$"):
+        strata_table(2.5)
+    with pytest.raises(ValueError, match=r"^length must be an integer, got 2\.5$"):
+        nested_pairs(2.5)
+    # bound(2.5) used to answer None, as for an empty stratum
+    with pytest.raises(ValueError, match=r"^stratum indices must be integers, got 2\.5$"):
+        strata_base().bound(2.5)
+    assert StrataBoundTable(True, {1: 4, 2: 2}) == strata_base()
+    assert strata_table(True) == strata_base()
+    assert len(nested_pairs(True)) == 2
+
+
+def test_strata_table_validates_every_step(monkeypatch):
+    sizes = []
+    validate = StrataBoundTable.__init__
+
+    def counting(self, n, bounds):
+        sizes.append(n)
+        validate(self, n, bounds)
+
+    monkeypatch.setattr(StrataBoundTable, "__init__", counting)
+    strata_table(25)
+    assert sizes == list(range(1, 26))
+
+
+def test_strata_table_equals_public_steps():
+    # the carried score list gives what rebuilding it from each table gives
+    t = strata_base()
+    for n in range(1, 121):
+        got = strata_table(n)
+        assert got == t
+        assert list(got.bounds.items()) == list(t.bounds.items())
+        t = strata_propagate(t)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilb import lattice
 from hilb import (
     ConsistencyError,
     DivisorClass,
@@ -218,3 +219,47 @@ def test_lattice_from_entries_validation():
         IntersectionLattice.from_entries({}, ("B", "C", "B"))
     with pytest.raises(AttributeError):
         lat.labels = ("C", "D")
+
+
+def test_integer_arguments_are_coerced():
+    # 2.5 used to give a complex constant or a TypeError from range
+    for call, shown in (
+        (lambda: nakajima_closed_form(2.5), "constants are indexed by integers"),
+        (lambda: nakajima_recurrence(2.5), "the number of constants must be an integer"),
+        (lambda: exceptional_total_square(2.5), "the number of exceptional classes must be an integer"),
+        (lambda: blow_up(p2_lattice(), 2.5), "the number of blown-up points must be an integer"),
+        (lambda: nakajima_recurrence(3).value(2.5), "constants are indexed by integers"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{shown}, got 2\.5$"):
+            call()
+    # bools are integers, as everywhere in the library
+    assert nakajima_closed_form(True) == 1
+    assert nakajima_recurrence(True).values == (1,)
+    assert exceptional_total_square(True) == -1
+    assert blow_up(p2_lattice(), True) == blow_up(p2_lattice(), 1)
+
+
+def test_recurrence_blows_up_once(monkeypatch):
+    calls = []
+
+    def counting(base, k):
+        calls.append((base.rank, k))
+        return blow_up(base, k)
+
+    monkeypatch.setattr(lattice, "blow_up", counting)
+    assert nakajima_recurrence(40).values == tuple(nakajima_closed_form(n) for n in range(1, 41))
+    assert calls == [(0, 39)]
+
+
+def test_recurrence_reads_each_square_off_the_pairing(monkeypatch):
+    # with every new class squaring to -2, E.E = -2n and c_2 comes out as -4
+    def steeper(base, k):
+        blown = blow_up(base, k)
+        entries = blown.entries()
+        for i in range(base.rank, blown.rank):
+            entries[(i, i)] = -2
+        return IntersectionLattice.from_entries(entries, blown.labels)
+
+    monkeypatch.setattr(lattice, "blow_up", steeper)
+    with pytest.raises(ConsistencyError, match=r"^\|c_2\| must be 2, got -4$"):
+        nakajima_recurrence(5)
