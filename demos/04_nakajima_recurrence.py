@@ -14,12 +14,9 @@ from hilb import (
     IntersectionLattice,
     blow_up,
     exceptional_total_square,
-    hilbert_scheme_dim,
     nakajima_closed_form,
     nakajima_recurrence,
-    one_point_locus_dim,
     p2_lattice,
-    punctual_locus_dim,
     rank_zero_lattice,
 )
 
@@ -46,13 +43,12 @@ print("has self-intersection -1, so the base contributes nothing.")
 
 print()
 print("=== Dimension bookkeeping behind the recurrence ===")
+# the Hilbert scheme of n points on a surface has dimension 2n, the locus
+# supported at a single point n+1, and the subschemes at one fixed point n-1
 for n in (1, 2, 5, 10):
     print(
-        f"  n={n:2}: ambient {hilbert_scheme_dim(n)}, "
-        f"one-point locus {one_point_locus_dim(n)}, "
-        f"punctual slice {punctual_locus_dim(n)} "
-        f"(complementary: {one_point_locus_dim(n)} + {punctual_locus_dim(n)} "
-        f"= {hilbert_scheme_dim(n)})"
+        f"  n={n:2}: ambient {2 * n}, one-point locus {n + 1}, punctual slice {n - 1} "
+        f"(complementary: {n + 1} + {n - 1} = {2 * n})"
     )
 
 print()

@@ -73,12 +73,9 @@ _EXPORTS = {
         "NakajimaSequence",
         "blow_up",
         "exceptional_total_square",
-        "hilbert_scheme_dim",
         "nakajima_closed_form",
         "nakajima_recurrence",
-        "one_point_locus_dim",
         "p2_lattice",
-        "punctual_locus_dim",
         "rank_zero_lattice",
     ),
     "heisenberg": (

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .common import format_poly
-from .errors import NonGenericError, as_int
+from .errors import NonGenericError, as_int, as_size
 from .partitions import Partition, as_partition, enumerate_partitions
 
 # NonGenericError and format_poly are defined in leaf modules, so that
@@ -156,6 +156,7 @@ def default_rho(n: int) -> CharVector:
     if x = y = 0; but chart 0 has y = a+1 and x = l+1, and chart 2 has
     (x, y) = (l-a-1, -l) and y = l+1, never zero together.
     """
+    n = as_size(n, 0, "length")
     return CharVector(1, 2 * n * n + 1)
 
 
@@ -187,8 +188,7 @@ def cell_tables(
     tangent_weights, in chart, size and partition order, raises
     NonGenericError naming the first zero weight.
     """
-    if n < 0:
-        raise ValueError(f"negative length: {n}")
+    n = as_size(n, 0, "length")
     if space == "affine":
         charts, sizes = (AFFINE_CHART,), (n,)
     elif space == "p2":
@@ -230,6 +230,7 @@ def poincare_from_tables(tables: list[CellTable], n: int) -> PoincarePoly:
     A fixed point's cell dimension is the sum of its charts' dimensions,
     so the cell counts are the convolution of the per-chart tables.
     """
+    n = as_size(n, 0, "length")
     acc: CellTable = {0: {0: 1}}
     for table in tables:
         nxt: CellTable = {}
@@ -260,8 +261,7 @@ def fixed_points_p2(n: int) -> list[tuple[Partition, Partition, Partition]]:
     Triples of partitions, one per chart of P2_CHART_WEIGHTS, with sizes
     summing to n, sizes enumerated in descending order chart by chart.
     """
-    if n < 0:
-        raise ValueError(f"negative length: {n}")
+    n = as_size(n, 0, "length")
     out = []
     for a in range(n, -1, -1):
         for b in range(n - a, -1, -1):
@@ -290,6 +290,6 @@ def poincare_punctual(n: int) -> PoincarePoly:
     Stromme, Invent. Math. 87, 1987), so the two share their Betti numbers
     and this is poincare_affine(n), counted from the same cells.
     """
-    if n < 1:
-        raise ValueError(f"punctual locus undefined for n = {n}")
+    if as_size(n, 0, "length") == 0:
+        raise ValueError("punctual locus undefined for n = 0")
     return poincare_affine(n)

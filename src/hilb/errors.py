@@ -1,4 +1,4 @@
-"""Shared exception types and the integer check of numeric input."""
+"""Shared exception types and the integer checks of numeric input."""
 
 import operator
 
@@ -9,6 +9,19 @@ def as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what}, got {value!r}") from None
+
+
+def as_size(value, least: int, what: str) -> int:
+    """A size, level or index: as_int, then refused below `least`.
+
+    The messages are "<what> must be an integer, got <value>" and
+    "<what> must be at least <least>, got <value>".
+    """
+    # an exact int needs no coercion, and sizes are read in inner loops
+    n = value if type(value) is int else as_int(value, f"{what} must be an integer")
+    if n < least:
+        raise ValueError(f"{what} must be at least {least}, got {value!r}")
+    return n
 
 
 class ConsistencyError(RuntimeError):

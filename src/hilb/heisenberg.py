@@ -36,7 +36,7 @@ from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 from .common import format_poly
-from .errors import as_int
+from .errors import as_int, as_size
 
 
 class SurfaceModel:
@@ -144,9 +144,7 @@ class GradedSeries:
     __slots__ = ("truncation", "coeffs")
 
     def __init__(self, truncation: int, coeffs: Optional[dict] = None):
-        truncation = as_int(truncation, "truncation must be an integer")
-        if truncation < 0:
-            raise ValueError(f"truncation must be non-negative, got {truncation}")
+        truncation = as_size(truncation, 0, "truncation")
         clean: dict[tuple[int, int], int] = {}
         for (n, m), c in (coeffs or {}).items():
             # exact ints need no coercion, and every series term is built here
@@ -165,7 +163,8 @@ class GradedSeries:
 
     def t_slice(self, n: int) -> dict[int, int]:
         """Coefficients of t^n as a {u-degree: coefficient} map."""
-        if not 0 <= n <= self.truncation:
+        n = as_size(n, 0, "t-degree")
+        if n > self.truncation:
             raise ValueError(f"t-degree out of range: {n}")
         return {m: c for (nn, m), c in self.coeffs.items() if nn == n}
 
@@ -189,8 +188,7 @@ class GradedSeries:
 
 def _unit_rows(truncation: int) -> list[list[int]]:
     """The series 1 as rows[n][h], the coefficient of t^n u^(2h), h <= 2n."""
-    if truncation < 0:
-        raise ValueError(f"truncation must be non-negative, got {truncation}")
+    truncation = as_size(truncation, 0, "truncation")
     rows = [[0] * (2 * n + 1) for n in range(truncation + 1)]
     rows[0][0] = 1
     return rows
@@ -284,7 +282,7 @@ class FockState:
             mono = tuple(sorted(mono))
             for level, label in mono:
                 if level < 1:
-                    raise ValueError(f"creation level must be at least 1: {level}")
+                    raise ValueError(f"creation level must be at least 1, got {level}")
                 surface.degree(label)
             if type(c) is not int:
                 c = as_int(c, "Fock coefficients must be integers")
@@ -364,11 +362,6 @@ def _merged(a: dict, b: dict, sign: int) -> dict:
     return merged
 
 
-def _check_level(m: int, kind: str) -> None:
-    if m < 1:
-        raise ValueError(f"{kind} level must be at least 1: {m}")
-
-
 def _created(terms: dict, factor: tuple[int, str]) -> dict:
     """Canonical terms times one valid factor, inserted at its sorted place.
 
@@ -402,7 +395,7 @@ def _annihilated(terms: dict, m: int, alpha: str, pairing: dict, cm: int) -> dic
 
 def create(state: FockState, m: int, gamma: str) -> FockState:
     """Multiply by the creation generator a_{-m}(gamma)."""
-    _check_level(m, "creation")
+    m = as_size(m, 1, "creation level")
     state.surface.degree(gamma)
     return FockState._of(state.surface, _created(state.terms, (m, gamma)))
 
@@ -415,7 +408,7 @@ def annihilate(state: FockState, m: int, alpha: str) -> FockState:
     """
     from .lattice import nakajima_closed_form
 
-    _check_level(m, "annihilation")
+    m = as_size(m, 1, "annihilation level")
     surface = state.surface
     surface.degree(alpha)
     terms = _annihilated(state.terms, m, alpha, surface._pairing, nakajima_closed_form(m))
@@ -424,9 +417,8 @@ def annihilate(state: FockState, m: int, alpha: str) -> FockState:
 
 def basis_monomials(surface: SurfaceModel, max_t: int) -> list[FockMonomial]:
     """All creation monomials of t-weight at most max_t, deterministic order."""
-    gens = [
-        (m, name) for m in range(1, max_t + 1) for name, _ in surface.basis
-    ]
+    max_t = as_size(max_t, 0, "t-weight")
+    gens = [(m, name) for m in range(1, max_t + 1) for name, _ in surface.basis]
     out: list[FockMonomial] = []
 
     def rec(i: int, budget: int, acc: list):
@@ -483,8 +475,8 @@ def commutator_checks(
 
     checked = []
     for m, k, alpha, beta in quads:
-        _check_level(m, "annihilation")
-        _check_level(k, "creation")
+        m = as_size(m, 1, "annihilation level")
+        k = as_size(k, 1, "creation level")
         ip = surface.pair(alpha, beta)
         cm = nakajima_closed_form(m)
         checked.append((m, k, alpha, beta, cm, cm * ip if m == k else 0))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Optional
 
 from .common import Record
-from .errors import ConsistencyError, as_int
+from .errors import ConsistencyError, as_size
 from .monomial import generator_count, socle_count
 from .partitions import Partition, as_partition, enumerate_partitions
 
@@ -38,9 +38,7 @@ class NestedPair(Record):
 
 def nested_pairs(n: int) -> list[NestedPair]:
     """Fixed points of the nested Hilbert scheme of lengths (n, n+1)."""
-    n = as_int(n, "length must be an integer")
-    if n < 0:
-        raise ValueError(f"negative length: {n}")
+    n = as_size(n, 0, "length")
     return [
         NestedPair(lam, mu)
         for lam in enumerate_partitions(n)
@@ -103,9 +101,7 @@ class StrataBoundTable(Record):
     __slots__ = ("n", "bounds")
 
     def __init__(self, n: int, bounds: Mapping[int, int]):
-        n = as_int(n, "table size must be an integer")
-        if n < 1:
-            raise ValueError(f"table size must be at least 1, got {n}")
+        n = as_size(n, 1, "table size")
         for i, b in bounds.items():
             if i < 1 or not isinstance(i, int):
                 raise ValueError(f"malformed table: bad index {i}")
@@ -129,10 +125,7 @@ class StrataBoundTable(Record):
 
     def bound(self, i: int) -> Optional[int]:
         """Bound at index i, or None for an empty stratum."""
-        i = as_int(i, "stratum indices must be integers")
-        if i < 1:
-            raise ValueError(f"stratum index must be at least 1, got {i}")
-        return self.bounds.get(i)
+        return self.bounds.get(as_size(i, 1, "stratum index"))
 
 
 def strata_base() -> StrataBoundTable:
@@ -202,9 +195,7 @@ def strata_table(n: int) -> StrataBoundTable:
     The score list is carried from step to step; every step's table is
     still built, and so validated, by StrataBoundTable.
     """
-    n = as_int(n, "table size must be an integer")
-    if n < 1:
-        raise ValueError(f"table size must be at least 1, got {n}")
+    n = as_size(n, 1, "table size")
     t = strata_base()
     score = _scores(t)
     for k in range(1, n):

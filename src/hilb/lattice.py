@@ -6,8 +6,8 @@ That single integral drives the recurrence
 
     c_1 = 1,        c_{n+1} / (n+1) = c_n * (E.E) / n^2 = -c_n / n,
 
-whose steps are carried out in exact rationals with the integrality of
-every c_n asserted, and whose values the closed form (-1)^(n-1) n must
+whose steps are exact integer divisions with the integrality of every
+c_n asserted, and whose values the closed form (-1)^(n-1) n must
 reproduce. The recurrence blows up the empty base once, at N - 1 points,
 and step n pairs E = e_1 + ... + e_n with itself on that lattice. The
 degree n+1 comes from the generically finite projection of the one-point
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .common import Record
-from .errors import ConsistencyError, as_int
+from .errors import ConsistencyError, as_int, as_size
 
 
 class DivisorClass(Record):
@@ -179,9 +179,7 @@ def blow_up(L: IntersectionLattice, k: int) -> IntersectionLattice:
     Old classes keep their pairings; the new classes are numbered E<m+1>,
     E<m+2>, ... after the largest m of any existing E<digits> label.
     """
-    k = as_int(k, "the number of blown-up points must be an integer")
-    if k < 0:
-        raise ValueError(f"cannot blow up a negative number of points: {k}")
+    k = as_size(k, 0, "the number of blown-up points")
     r = L.rank
     taken = [int(lbl[1:]) for lbl in L.labels if lbl[:1] == "E" and lbl[1:].isdecimal()]
     start = max(taken, default=0) + 1
@@ -198,9 +196,7 @@ def exceptional_total_square(n: int, base: Optional[IntersectionLattice] = None)
     Computed through the lattice pairing, never short-circuited, so the
     orthogonality bookkeeping is exercised on every call.
     """
-    n = as_int(n, "the number of exceptional classes must be an integer")
-    if n < 1:
-        raise ValueError(f"need at least one exceptional class, got {n}")
+    n = as_size(n, 1, "the number of exceptional classes")
     if base is None:
         base = rank_zero_lattice()
     blown = blow_up(base, n)
@@ -209,26 +205,9 @@ def exceptional_total_square(n: int, base: Optional[IntersectionLattice] = None)
     return blown.pair(total, total)
 
 
-def hilbert_scheme_dim(n: int) -> int:
-    """Dimension 2n of the Hilbert scheme of n surface points."""
-    return 2 * n
-
-
-def one_point_locus_dim(n: int) -> int:
-    """Dimension n+1 of the locus of subschemes supported at a single point."""
-    return n + 1
-
-
-def punctual_locus_dim(n: int) -> int:
-    """Dimension n-1 of the subschemes supported at one fixed point."""
-    return n - 1
-
-
 def nakajima_closed_form(n: int) -> int:
     """The n-th Nakajima constant, (-1)^(n-1) n."""
-    n = as_int(n, "constants are indexed by integers")
-    if n < 1:
-        raise ValueError(f"constants are indexed from 1, got {n}")
+    n = as_size(n, 1, "constant index")
     return (-1) ** (n - 1) * n
 
 
@@ -254,8 +233,8 @@ class NakajimaSequence(Record):
 
     def value(self, n: int) -> int:
         """c_n, 1-indexed."""
-        n = as_int(n, "constants are indexed by integers")
-        if not 1 <= n <= len(self.values):
+        n = as_size(n, 1, "constant index")
+        if n > len(self.values):
             raise ValueError(f"index out of range: {n}")
         return self.values[n - 1]
 
@@ -266,21 +245,17 @@ def nakajima_recurrence(N: int) -> NakajimaSequence:
     One lattice, the empty base blown up at N - 1 points, serves every
     step: step n pairs e_1 + ... + e_n with itself through
     IntersectionLattice.pair, so each -n factor comes from the lattice's
-    pairing, in O(N) work. Each step divides by n before scaling by n+1;
-    any non-integral step raises ConsistencyError.
+    pairing, in O(N) work. Each step is the integer division
+    c_n * (E.E) * (n+1) / n^2; a non-zero remainder raises ConsistencyError.
     """
-    from fractions import Fraction  # only the recurrence needs it; lattices load without it
-
-    N = as_int(N, "the number of constants must be an integer")
-    if N < 1:
-        raise ValueError(f"need at least one constant, got {N}")
+    N = as_size(N, 1, "the number of constants")
     blown = blow_up(rank_zero_lattice(), N - 1)
     values = [1]
     for n in range(1, N):
         total = DivisorClass((1,) * n + (0,) * (N - 1 - n))
         e2 = blown.pair(total, total)
-        step = Fraction(values[-1], n) * Fraction(e2, n) * (n + 1)
-        if step.denominator != 1:
-            raise ConsistencyError(f"non-integral constant at n={n + 1}: {step}")
-        values.append(int(step))
+        step, rest = divmod(values[-1] * e2 * (n + 1), n * n)
+        if rest:
+            raise ConsistencyError(f"non-integral constant at n={n + 1}")
+        values.append(step)
     return NakajimaSequence(tuple(values))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple, Optional
 
+from .errors import as_size
 from .partitions import Partition, as_partition
 
 
@@ -168,7 +169,8 @@ class HilbertBurchMatrix(NamedTuple):
         the product of the diagonal entries above the cut and the
         subdiagonal entries below it.
         """
-        if not 0 <= i < self.rows:
+        i = as_size(i, 0, "row index")
+        if i >= self.rows:
             raise ValueError(f"row index out of range: {i}")
         out = Term(1, Monomial(0, 0))
         for j in range(i):

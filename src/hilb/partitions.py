@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import as_int
+from .errors import as_int, as_size
 
 
 class Box(NamedTuple):
@@ -167,9 +167,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
     enumerate_partitions(3) gives (3), (2,1), (1,1,1).
     """
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer: {n}")
-    return list(map(_shaped, _descending_lex(n)))
+    return list(map(_shaped, _descending_lex(as_size(n, 0, "partition size"))))
 
 
 def _descending_lex(n: int) -> Iterator[tuple[int, ...]]:
@@ -220,6 +218,7 @@ def pentagonal_partition_count(n: int) -> int:
     for m = 1..n, so no size reaches the recursion limit. Deliberately shares
     no code with enumerate_partitions so the two can cross-check each other.
     """
+    n = as_int(n, "partition size must be an integer")
     if n < 0:
         return 0
     p = [1]

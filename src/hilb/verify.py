@@ -21,6 +21,7 @@ from .equivariant import (
     poincare_punctual,
     tangent_weights,
 )
+from .errors import as_size
 from .heisenberg import (
     FockState,
     SurfaceModel,
@@ -41,12 +42,9 @@ from .incidence import (
 from .lattice import (
     IntersectionLattice,
     exceptional_total_square,
-    hilbert_scheme_dim,
     nakajima_closed_form,
     nakajima_recurrence,
-    one_point_locus_dim,
     p2_lattice,
-    punctual_locus_dim,
     rank_zero_lattice,
 )
 from .monomial import generator_count, hilbert_burch, socle_count, staircase
@@ -240,7 +238,7 @@ def check_punctual(top: int) -> str:
         poly = poincare_punctual(n)
         want = PoincarePoly.from_cell_dims(n - lam.parts[0] for lam in enumerate_partitions(n))
         _expect(poly.evaluate(1) == pentagonal_partition_count(n), "count at n={}", n)
-        _expect(poly.degree == 2 * punctual_locus_dim(n), "top dim at n={}", n)
+        _expect(poly.degree == 2 * (n - 1), "top dim at n={}", n)
         _expect(poly == want, "cells at n={}: {} != {}", n, poly, want)
     return "count, top dim, Euler all match"
 
@@ -282,14 +280,10 @@ def check_exceptional_square(top: int) -> str:
 
 @_check("nakajima", "n<={top}", top=lambda nmax: max(nmax, 200))
 def check_nakajima(top: int) -> str:
-    """Recurrence equals closed form; dimension bookkeeping is complementary."""
+    """Recurrence equals closed form."""
     seq = nakajima_recurrence(top)
     for n in range(1, top + 1):
         _expect(seq.value(n) == nakajima_closed_form(n), "mismatch at n={}", n)
-        _expect(
-            one_point_locus_dim(n) + punctual_locus_dim(n) == hilbert_scheme_dim(n),
-            "dims at n={}", n,
-        )
     return "recurrence matches closed form"
 
 
@@ -361,8 +355,7 @@ ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = tuple(_REGIST
 
 def run_checks(nmax: int, names: Optional[list[str]] = None) -> list[CheckResult]:
     """Run the suite (or a named subset) scaled by nmax."""
-    if nmax < 1:
-        raise ValueError(f"nmax must be at least 1, got {nmax}")
+    nmax = as_size(nmax, 1, "nmax")
     selected = names if names is not None else [n for n, _ in ALL_CHECKS]
     table = dict(ALL_CHECKS)
     unknown = [n for n in selected if n not in table]

@@ -16,6 +16,7 @@ from hilb import (
     fixed_points_p2,
     format_poly,
     poincare_affine,
+    poincare_from_tables,
     poincare_p2,
     poincare_punctual,
     tangent_weights,
@@ -113,7 +114,9 @@ def test_poincare_affine_frozen():
     assert str(poincare_affine(3)) == "1 + q^2 + q^4"
 
 
-def test_default_rho_is_generic():
+def test_default_rho_is_generic(size_gate):
+    # default_rho(2.5) used to answer (1, 13.5)
+    size_gate(default_rho, "length", 0)
     for n in range(11):
         rho = default_rho(n)
         assert rho.a == 1 and rho.b > 2 * n * n
@@ -132,7 +135,8 @@ def test_default_rho_is_generic():
                         assert rho.a * w[0] + rho.b * w[1] != 0, (n, a, l, u, v)
 
 
-def test_fixed_points_p2_counts():
+def test_fixed_points_p2_counts(size_gate):
+    size_gate(fixed_points_p2, "length", 0)
     for n, want in enumerate([1, 3, 9, 22]):
         pts = fixed_points_p2(n)
         assert len(pts) == want
@@ -187,9 +191,14 @@ def test_punctual_cells_frozen():
     assert str(poincare_punctual(3)) == "1 + q^2 + q^4"
     assert str(poincare_punctual(4)) == "1 + q^2 + 2q^4 + q^6"
     assert str(poincare_punctual(6)) == "1 + q^2 + 2q^4 + 3q^6 + 3q^8 + q^10"
-    for n in (0, -2):  # the refusal names the n it was given
-        with pytest.raises(ValueError, match=f"^punctual locus undefined for n = {n}$"):
-            poincare_punctual(n)
+    with pytest.raises(ValueError, match="^punctual locus undefined for n = 0$"):
+        poincare_punctual(0)
+    with pytest.raises(ValueError, match="^length must be at least 0, got -2$"):
+        poincare_punctual(-2)
+    for bad, shown in ((2.5, r"2\.5"), ("3", "'3'")):
+        with pytest.raises(ValueError, match=f"^length must be an integer, got {shown}$"):
+            poincare_punctual(bad)
+    assert poincare_punctual(True) == poincare_punctual(1)
 
 
 def brute_poincare_p2(n, rho=None):
@@ -231,11 +240,15 @@ def test_poincare_p2_wall_rho_rejected():
             brute_poincare_p2(3, rho)
 
 
-def test_cell_tables_rejects_unknown_space():
+def test_cell_tables_rejects_unknown_space(size_gate):
     with pytest.raises(ValueError):
         cell_tables("punctual", 2)
-    with pytest.raises(ValueError, match="negative"):
-        cell_tables("p2", -1)
+    # every Betti entry point takes its length through errors.as_size
+    size_gate(lambda n: cell_tables("p2", n), "length", 0)
+    size_gate(poincare_affine, "length", 0)
+    size_gate(poincare_p2, "length", 0)
+    tables = cell_tables("affine", 2)[1]
+    size_gate(lambda n: poincare_from_tables(tables, n), "length", 0)
 
 
 def reference_tables(space, n, rho):

@@ -116,7 +116,7 @@ def test_character_matches_brute_enumeration():
         assert goettsche_series(surface, tmax).coeffs == got.coeffs
 
 
-def test_series_validation():
+def test_series_validation(size_gate):
     from hilb import GradedSeries
 
     with pytest.raises(ValueError):
@@ -136,8 +136,15 @@ def test_series_validation():
             call()
     assert GradedSeries(True, {(True, 2): True}) == GradedSeries(1, {(1, 2): 1})
     series = goettsche_series(P2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^t-degree out of range: 3$"):
         series.t_slice(3)
+    size_gate(lambda t: GradedSeries(t, {}), "truncation", 0)
+    size_gate(lambda t: goettsche_series(P2, t), "truncation", 0)
+    size_gate(lambda t: fock_character(K3, t), "truncation", 0)
+    # t_slice(2.5) used to answer {} and u_one(2.5) 0
+    size_gate(series.t_slice, "t-degree", 0)
+    size_gate(series.u_one, "t-degree", 0)
+    size_gate(series.slice_str, "t-degree", 0)
 
 
 def test_vacuum_and_create():
@@ -171,7 +178,7 @@ def test_state_linear_algebra():
     )
 
 
-def test_fock_states_hold_integers_only():
+def test_fock_states_hold_integers_only(size_gate):
     h = ((1, "h"),)
     with pytest.raises(ValueError, match="Fock coefficients must be integers, got 1.5"):
         FockState(P2, {h: 1.5})
@@ -182,6 +189,12 @@ def test_fock_states_hold_integers_only():
     # bools are integers, as for every other integer input
     assert FockState(P2, {((True, "h"),): True}) == FockState(P2, {h: 1})
     assert True * vacuum(P2) == vacuum(P2)
+    with pytest.raises(ValueError, match="^creation level must be at least 1, got 0$"):
+        FockState(P2, {((0, "h"),): 1})
+    # create(vac, 1.5, "h") used to build the state a[-1.5](h)
+    size_gate(lambda m: create(vacuum(P2), m, "h"), "creation level", 1)
+    size_gate(lambda m: annihilate(create(vacuum(P2), 1, "h"), m, "h"), "annihilation level", 1)
+    size_gate(lambda t: basis_monomials(P2, t), "t-weight", 0)
 
 
 @st.composite
@@ -418,10 +431,12 @@ def test_commutator_checks_revalidate_probes_from_another_surface(monkeypatch):
 
 
 @pytest.mark.parametrize("probes", [[], None], ids=["no-probes", "default-probes"])
-def test_commutator_checks_validate_every_quadruple(probes):
+def test_commutator_checks_validate_every_quadruple(probes, size_gate):
     bad = [
-        ((0, 1, "h", "h"), "annihilation level must be at least 1: 0"),
-        ((1, -2, "h", "h"), "creation level must be at least 1: -2"),
+        ((0, 1, "h", "h"), "annihilation level must be at least 1, got 0"),
+        ((1, -2, "h", "h"), "creation level must be at least 1, got -2"),
+        ((1.5, 1, "h", "h"), r"annihilation level must be an integer, got 1\.5"),
+        ((1, 1.5, "h", "h"), r"creation level must be an integer, got 1\.5"),
         ((1, 2, "zz", "h"), "no cohomology class named 'zz'"),
         ((2, 1, "h", "zz"), "no cohomology class named 'zz'"),
     ]
@@ -431,6 +446,10 @@ def test_commutator_checks_validate_every_quadruple(probes):
         with pytest.raises(ValueError, match=message):
             # a valid quadruple first: the bad one is still refused
             commutator_checks(P2, [(1, 1, "h", "h"), quad], probes)
+    # the reports carry the coerced levels
+    size_gate(lambda m: commutator_check(P2, m, 1, "h", "h", probes), "annihilation level", 1)
+    size_gate(lambda k: commutator_check(P2, 1, k, "h", "h", probes), "creation level", 1)
+    assert type(commutator_check(P2, True, True, "h", "h", probes).m) is int
 
 
 def test_fock_equals_goettsche_to_order_14():

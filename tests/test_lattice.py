@@ -12,12 +12,9 @@ from hilb import (
     NakajimaSequence,
     blow_up,
     exceptional_total_square,
-    hilbert_scheme_dim,
     nakajima_closed_form,
     nakajima_recurrence,
-    one_point_locus_dim,
     p2_lattice,
-    punctual_locus_dim,
 )
 
 GENUS_GRAM = ((2, 3), (3, -4))  # an abstract surface-like symmetric form
@@ -104,14 +101,6 @@ def test_exceptional_total_square_frozen():
     assert exceptional_total_square(5, GENUS_LATTICE) == -5
     with pytest.raises(ValueError):
         exceptional_total_square(0)
-
-
-def test_dimension_formulas():
-    for n in range(1, 30):
-        assert hilbert_scheme_dim(n) == 2 * n
-        assert one_point_locus_dim(n) == n + 1
-        assert punctual_locus_dim(n) == n - 1
-        assert one_point_locus_dim(n) + punctual_locus_dim(n) == hilbert_scheme_dim(n)
 
 
 def test_closed_form_frozen():
@@ -221,17 +210,16 @@ def test_lattice_from_entries_validation():
         lat.labels = ("C", "D")
 
 
-def test_integer_arguments_are_coerced():
+def test_integer_arguments_are_coerced(size_gate):
     # 2.5 used to give a complex constant or a TypeError from range
-    for call, shown in (
-        (lambda: nakajima_closed_form(2.5), "constants are indexed by integers"),
-        (lambda: nakajima_recurrence(2.5), "the number of constants must be an integer"),
-        (lambda: exceptional_total_square(2.5), "the number of exceptional classes must be an integer"),
-        (lambda: blow_up(p2_lattice(), 2.5), "the number of blown-up points must be an integer"),
-        (lambda: nakajima_recurrence(3).value(2.5), "constants are indexed by integers"),
-    ):
-        with pytest.raises(ValueError, match=rf"^{shown}, got 2\.5$"):
-            call()
+    seq = nakajima_recurrence(3)
+    size_gate(nakajima_closed_form, "constant index", 1)
+    size_gate(nakajima_recurrence, "the number of constants", 1)
+    size_gate(exceptional_total_square, "the number of exceptional classes", 1)
+    size_gate(lambda k: blow_up(p2_lattice(), k), "the number of blown-up points", 0)
+    size_gate(seq.value, "constant index", 1)
+    with pytest.raises(ValueError, match="^index out of range: 4$"):
+        seq.value(4)
     # bools are integers, as everywhere in the library
     assert nakajima_closed_form(True) == 1
     assert nakajima_recurrence(True).values == (1,)
@@ -263,3 +251,11 @@ def test_recurrence_reads_each_square_off_the_pairing(monkeypatch):
     monkeypatch.setattr(lattice, "blow_up", steeper)
     with pytest.raises(ConsistencyError, match=r"^\|c_2\| must be 2, got -4$"):
         nakajima_recurrence(5)
+
+
+def test_recurrence_refuses_a_non_integral_step(monkeypatch):
+    # with E.E = -1 at every n, step 2 is (-2)(-1)(3)/4, not an integer
+    monkeypatch.setattr(IntersectionLattice, "pair", lambda self, d1, d2: -1)
+    assert nakajima_recurrence(2).values == (1, -2)
+    with pytest.raises(ConsistencyError, match="^non-integral constant at n=3$"):
+        nakajima_recurrence(3)

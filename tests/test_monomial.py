@@ -123,7 +123,7 @@ def test_hilbert_burch_single_box():
     assert mat.matches_generators()
 
 
-def test_hilbert_burch_hook_frozen():
+def test_hilbert_burch_hook_frozen(size_gate):
     mat = hilbert_burch(Partition((2, 1)))
     # rows ordered by descending x-exponent: x^2, xy, y^2
     assert [(m.xexp, m.yexp) for m in mat.generators] == [(2, 0), (1, 1), (0, 2)]
@@ -138,6 +138,9 @@ def test_hilbert_burch_hook_frozen():
         (0, 2),
     }
     assert all(t.coeff in (1, -1) for t in minors)
+    size_gate(mat.minor, "row index", 0)
+    with pytest.raises(ValueError, match="^row index out of range: 3$"):
+        mat.minor(3)
 
 
 def test_hilbert_burch_shape():

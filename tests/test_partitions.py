@@ -31,7 +31,7 @@ partitions_strategy = st.lists(
 ).map(lambda xs: Partition(sorted(xs, reverse=True)))
 
 
-def test_validation():
+def test_validation(size_gate):
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
@@ -48,6 +48,13 @@ def test_validation():
         generator_count([2.9, 1.2])
     assert Partition((True, True)).parts == (1, 1)
     assert type(Partition((True,)).parts[0]) is int
+    size_gate(enumerate_partitions, "partition size", 0)
+    # p(n) of a negative n is 0, so only the integer check applies
+    for bad, shown in ((2.5, r"2\.5"), ("3", "'3'")):
+        with pytest.raises(ValueError, match=f"^partition size must be an integer, got {shown}$"):
+            pentagonal_partition_count(bad)
+    assert pentagonal_partition_count(-1) == 0
+    assert pentagonal_partition_count(True) == 1
 
 
 def test_enumerate_small_frozen():

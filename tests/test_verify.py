@@ -87,13 +87,14 @@ def test_every_check_runs_at_its_cap():
     assert [name for name, _ in ALL_CHECKS if name not in capped] == ["nakajima"]
 
 
-def test_run_checks_rejects_bad_arguments():
+def test_run_checks_rejects_bad_arguments(size_gate):
     with pytest.raises(ValueError, match="unknown checks: no-such, other"):
         run_checks(4, ["partition-counts", "no-such", "other"])
     with pytest.raises(ValueError, match="nmax must be at least 1, got 0"):
         run_checks(0)
     with pytest.raises(ValueError, match="nmax must be at least 1, got -3"):
         run_checks(-3, ["nakajima"])
+    size_gate(lambda nmax: run_checks(nmax, ["partition-counts"]), "nmax", 1)
 
 
 @pytest.mark.parametrize(
