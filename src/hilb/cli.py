@@ -11,6 +11,7 @@ across runs; there is no floating point anywhere.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -373,7 +374,13 @@ def main(argv=None) -> int:
         "payload": payload,
         "version": __version__,
     }
-    _emit(record, args.format)
+    try:
+        _emit(record, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: stop writing, and send what is
+        # still buffered to devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

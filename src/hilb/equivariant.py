@@ -108,7 +108,7 @@ class PoincarePoly:
         return cls(coeffs)
 
     def coefficient(self, degree: int) -> int:
-        return self.coeffs.get(degree, 0)
+        return self.coeffs.get(as_int(degree, "degrees must be integers"), 0)
 
     @property
     def degree(self) -> int:

@@ -59,7 +59,7 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
     def box_in(self, box) -> bool:
-        r, c = box
+        r, c = _coordinates(box)
         return 0 <= r < len(self.parts) and 0 <= c < self.parts[r]
 
     def boxes(self) -> Iterator[Box]:
@@ -72,14 +72,14 @@ class Partition:
         """Boxes strictly to the right of `box` in its row."""
         if not self.box_in(box):
             raise ValueError(f"box not in partition: {tuple(box)} not in {self}")
-        r, c = box
+        r, c = _coordinates(box)
         return self.parts[r] - c - 1
 
     def leg(self, box) -> int:
         """Boxes strictly below `box` in its column."""
         if not self.box_in(box):
             raise ValueError(f"box not in partition: {tuple(box)} not in {self}")
-        r, c = box
+        r, c = _coordinates(box)
         return sum(1 for rr in range(r + 1, len(self.parts)) if self.parts[rr] > c)
 
     def conjugate(self) -> "Partition":
@@ -155,6 +155,13 @@ def _shaped(pts: tuple[int, ...]) -> Partition:
     lam.parts = pts
     lam.size = sum(pts)
     return lam
+
+
+def _coordinates(box) -> tuple[int, int]:
+    """(row, col) of a box, each coerced by as_int."""
+    what = "box coordinates must be integers"
+    r, c = box
+    return as_int(r, what), as_int(c, what)
 
 
 def as_partition(lam) -> Partition:

@@ -36,6 +36,7 @@ from .incidence import (
     check_codim_hypotheses,
     euler_incidence,
     nested_pairs,
+    strata_base,
     strata_propagate,
     strata_table,
 )
@@ -252,14 +253,15 @@ def check_euler_incidence(top: int) -> str:
 
 @_check("strata-bounds", "n<={top}", top=lambda nmax: max(nmax, 40))
 def check_strata_bounds(top: int) -> str:
-    """Propagated bounds never exceed 2n + 4 - 2i; codim hypotheses hold."""
+    """The closed form 2n + 4 - 2i by induction: base case and step; codim hypotheses hold."""
     t = strata_table(1)
+    _expect(t == strata_base(), "base case: {} at n=1", t)
     for n in range(1, top + 1):
-        for i, b in t.bounds.items():
-            _expect(i < 2 or b <= 2 * n + 4 - 2 * i, "bound({},{})={} too big", i, n, b)
         _expect(check_codim_hypotheses(t).all_satisfied, "codim fails at n={}", n)
         if n < top:
-            t = strata_propagate(t)
+            up = strata_table(n + 1)
+            _expect(strata_propagate(t) == up, "step from n={} misses the closed form", n)
+            t = up
     return "bounds and codims verified"
 
 

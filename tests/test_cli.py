@@ -3,11 +3,14 @@
 import doctest
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from hilb import IntersectionLattice, __version__, cli, verify
+from test_startup import child_env
 
 
 def run(capsys, argv):
@@ -305,6 +308,24 @@ def test_unknown_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_closed_stdout_exits_quietly(fmt):
+    # over 160 KB in every format, more than a pipe buffer holds, so the
+    # writes outlive the reader, which keeps one line and closes the pipe
+    argv = ["partitions", "--n", "30", "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "hilb.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_determinism_all_formats(capsys):

@@ -104,6 +104,10 @@ def test_poincare_poly_type():
         with pytest.raises(ValueError, match=f"^{shown}$"):
             PoincarePoly(coeffs)
     assert PoincarePoly({False: True}) == PoincarePoly({0: 1})
+    # coefficient(2.5) used to answer 0
+    with pytest.raises(ValueError, match=r"^degrees must be integers, got 2\.5$"):
+        PoincarePoly({0: 1, 2: 1}).coefficient(2.5)
+    assert PoincarePoly({0: 1, 2: 1}).coefficient(False) == 1
     assert format_poly({0: 1, 2: 1}, "u") == "1 + u^2"
 
 

@@ -164,7 +164,7 @@ def test_codim_failure_detected():
 
 
 def test_strata_bounds_closed_form_to_300():
-    # every propagated bound meets the cap 2n + 4 - 2i exactly, i = 1..n+1
+    # propagating from the base meets the closed form 2n + 4 - 2i exactly
     t = strata_base()
     for n in range(1, 301):
         assert t.n == n
@@ -198,7 +198,8 @@ def test_integer_arguments_are_coerced(size_gate):
     assert len(nested_pairs(True)) == 2
 
 
-def test_strata_table_validates_every_step(monkeypatch):
+def test_strata_table_builds_one_table(monkeypatch):
+    # the closed form is written down once, not propagated from n = 1
     sizes = []
     validate = StrataBoundTable.__init__
 
@@ -208,11 +209,11 @@ def test_strata_table_validates_every_step(monkeypatch):
 
     monkeypatch.setattr(StrataBoundTable, "__init__", counting)
     strata_table(25)
-    assert sizes == list(range(1, 26))
+    assert sizes == [25]
 
 
 def test_strata_table_equals_public_steps():
-    # the carried score list gives what rebuilding it from each table gives
+    # the closed form is what the public one-step rule gives, key order too
     t = strata_base()
     for n in range(1, 121):
         got = strata_table(n)

@@ -48,6 +48,13 @@ def test_validation(size_gate):
         generator_count([2.9, 1.2])
     assert Partition((True, True)).parts == (1, 1)
     assert type(Partition((True,)).parts[0]) is int
+    # so are box coordinates: arm((0, 0.5)) used to answer 1.5
+    lam = Partition((3, 2))
+    for call in (lam.box_in, lam.arm, lam.leg):
+        for box in ((0, 0.5), (0.5, 0)):
+            with pytest.raises(ValueError, match=r"^box coordinates must be integers, got 0\.5$"):
+                call(box)
+    assert (lam.box_in((True, 2)), lam.arm((True, 0)), lam.leg((False, True))) == (False, 1, 1)
     size_gate(enumerate_partitions, "partition size", 0)
     # p(n) of a negative n is 0, so only the integer check applies
     for bad, shown in ((2.5, r"2\.5"), ("3", "'3'")):

@@ -41,6 +41,7 @@ BROKEN = [
      ],
      "[a_1(1), a_-1(1)]"),
     ("nakajima", "nakajima_closed_form", lambda n: 0, "mismatch at n=1"),
+    ("strata-bounds", "strata_propagate", lambda t: t, "step from n=1 misses the closed form"),
     ("partition-counts", "pentagonal_partition_count", lambda n: n + 7, "p(0): 1 != 7"),
     ("chamber-independence", "poincare_affine", lambda n, rho: rho, "affine n=0 rho=(2, 1)"),
     ("punctual-cells", "poincare_punctual", lambda n: poincare_affine(n - 1), "count at n=2"),
