@@ -1,8 +1,17 @@
-"""Leaf helpers shared by several layers: immutable records and polynomial text.
+"""Leaf helpers shared by several layers: immutable records, intersection
+forms and polynomial text.
 
-Nothing here imports another hilb module, so a layer can use these
-without loading any other layer.
+IntersectionLattice is the one validator of a symmetric integer form: the
+blow-up lattices and each surface's degree-2 block are its instances.
+Nothing here imports a hilb module but hilb.errors, so a layer can use
+these without loading any other layer.
 """
+
+from __future__ import annotations
+
+from typing import Mapping
+
+from .errors import as_int
 
 
 class Record:
@@ -40,6 +49,136 @@ class Record:
 
     def __reduce__(self):
         return (type(self), self._values())
+
+
+class DivisorClass(Record):
+    """Integer coordinate vector in a fixed lattice basis."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        coords = tuple(coords)
+        # exact ints need no coercion, and the recurrence builds a long class per step
+        if not {int}.issuperset(map(type, coords)):
+            coords = tuple(as_int(c, "coordinates must be integers") for c in coords)
+        object.__setattr__(self, "coords", coords)
+
+    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        if len(self.coords) != len(other.coords):
+            raise ValueError("cannot add classes of different rank")
+        return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
+        return self + (-other)
+
+    def __neg__(self) -> "DivisorClass":
+        return DivisorClass(tuple(-a for a in self.coords))
+
+    def __rmul__(self, k: int) -> "DivisorClass":
+        k = as_int(k, "a class scales by integers only")
+        return DivisorClass(tuple(k * a for a in self.coords))
+
+
+class IntersectionLattice(Record):
+    """Free abelian group with a symmetric integer pairing and named basis.
+
+    The pairing is stored sparsely, as a {column: value} dict of the
+    nonzero entries of each row that has any; `gram` is the dense view.
+    Instances are immutable records, compared by labels and entries.
+    """
+
+    __slots__ = ("labels", "_rows")
+
+    def __init__(self, gram, labels):
+        gram = tuple(map(tuple, gram))
+        labels = tuple(labels)
+        r = len(labels)
+        if len(gram) != r or any(len(row) != r for row in gram):
+            raise ValueError(f"gram matrix must be {r} x {r}")
+        self._set({(i, j): x for i, row in enumerate(gram) for j, x in enumerate(row)}, labels)
+
+    @classmethod
+    def from_entries(
+        cls, entries: Mapping[tuple[int, int], int], labels
+    ) -> "IntersectionLattice":
+        """Lattice from its nonzero Gram entries {(i, j): value}, in O(entries)."""
+        lattice = cls.__new__(cls)
+        lattice._set(entries, labels)
+        return lattice
+
+    def _set(self, entries: Mapping[tuple[int, int], int], labels) -> None:
+        """Store the nonzero entries after the label, integrality, range and symmetry checks."""
+        labels = tuple(labels)
+        r = len(labels)
+        for label in labels:
+            if not isinstance(label, str):
+                raise ValueError(f"basis labels must be strings, got {label!r}")
+        if len(set(labels)) != r:
+            raise ValueError(f"duplicate basis labels in {labels}")
+        rows: dict[int, dict[int, int]] = {}
+        for (i, j), x in entries.items():
+            if not (0 <= i < r and 0 <= j < r):
+                raise ValueError(f"gram entry ({i}, {j}) outside a {r} x {r} matrix")
+            x = as_int(x, "gram entries must be integers")
+            if x:
+                rows.setdefault(i, {})[j] = x
+        for i, row in rows.items():
+            for j, x in row.items():
+                if rows.get(j, {}).get(i) != x:
+                    raise ValueError(f"gram matrix not symmetric at ({i}, {j})")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_rows", rows)
+
+    def __reduce__(self):
+        return (IntersectionLattice.from_entries, (self.entries(), self.labels))
+
+    @property
+    def rank(self) -> int:
+        return len(self.labels)
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The dense Gram matrix, built on each access."""
+        empty: dict[int, int] = {}
+        return tuple(
+            tuple(self._rows.get(i, empty).get(j, 0) for j in range(self.rank))
+            for i in range(self.rank)
+        )
+
+    def entries(self) -> dict[tuple[int, int], int]:
+        """The nonzero Gram entries as {(i, j): value}."""
+        return {(i, j): x for i, row in self._rows.items() for j, x in row.items()}
+
+    def __hash__(self) -> int:
+        return hash((self.labels, frozenset(self.entries().items())))
+
+    def __repr__(self) -> str:
+        return f"IntersectionLattice(gram={self.gram!r}, labels={self.labels!r})"
+
+    def cls(self, label: str) -> DivisorClass:
+        """Basis class by name."""
+        if label not in self.labels:
+            raise ValueError(f"no basis class named {label!r}")
+        i = self.labels.index(label)
+        return DivisorClass(tuple(1 if j == i else 0 for j in range(self.rank)))
+
+    def pair(self, d1: DivisorClass, d2: DivisorClass) -> int:
+        """Intersection number, summed over the stored entries only."""
+        c1, c2 = d1.coords, d2.coords
+        if len(c1) != self.rank or len(c2) != self.rank:
+            raise ValueError(
+                f"coordinate length mismatch: lattice rank {self.rank}, "
+                f"classes of length {len(c1)} and {len(c2)}"
+            )
+        total = 0
+        for i, row in self._rows.items():
+            a = c1[i]
+            if a:
+                for j, x in row.items():
+                    b = c2[j]
+                    if b:
+                        total += a * x * b
+        return total
 
 
 def format_poly(coeffs: dict[int, int], var: str) -> str:

@@ -37,6 +37,16 @@ class CharVector(NamedTuple):
     b: int
 
 
+def _character(value, what: str) -> CharVector:
+    """value as a CharVector, entries through errors.as_int; ValueError unless a pair."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a pair of integers, got {value!r}") from None
+    what = f"{what} entries must be integers"
+    return CharVector(as_int(a, what), as_int(b, what))
+
+
 def tangent_weights(lam, u: CharVector, v: CharVector) -> list[CharVector]:
     """The 2|lam| tangent characters at the fixed point of a chart.
 
@@ -44,7 +54,7 @@ def tangent_weights(lam, u: CharVector, v: CharVector) -> list[CharVector]:
     linearly independent over the rationals.
     """
     lam = as_partition(lam)
-    u, v = CharVector(*u), CharVector(*v)
+    u, v = _character(u, "chart character"), _character(v, "chart character")
     if u.a * v.b - u.b * v.a == 0:
         raise ValueError(f"degenerate chart: characters {u} and {v} are dependent")
     ua, ub = u
@@ -66,7 +76,7 @@ def cell_dimension(weights: Iterable[CharVector], rho: CharVector) -> int:
     A zero pairing means rho sits on a wall of the chamber structure and
     the attracting cell is not defined there.
     """
-    rho = CharVector(*rho)
+    rho = _character(rho, "rho")
     dim = 0
     for w in weights:
         p = rho.a * w.a + rho.b * w.b
@@ -198,7 +208,7 @@ def cell_tables(
     lams = {s: enumerate_partitions(s) for s in sizes}
     hooks = {s: [_arm_legs(lam) for lam in ls] for s, ls in lams.items()}
     pairs = {h for hl in hooks.values() for hs in hl for h in hs}
-    rho = default_rho(n) if rho is None else CharVector(*rho)
+    rho = default_rho(n) if rho is None else _character(rho, "rho")
     if n == 0 and rho == (0, 0):
         # no weight to name; at n > 0 the wall scan below names the first
         raise NonGenericError(

@@ -35,17 +35,18 @@ from bisect import bisect
 from operator import add
 from typing import Iterable, NamedTuple, Optional
 
-from .common import format_poly
+from .common import IntersectionLattice, format_poly
 from .errors import as_int, as_size
 
 
 class SurfaceModel:
     """Even-cohomology surface: Betti numbers plus the intersection pairing.
 
-    The basis holds one class "1" in degree 0, b2 named classes in degree
-    2, and one class "pt" in degree 4. The pairing couples "1" with "pt"
-    with value 1 and degree-2 classes through a symmetric integer block;
-    complementary-degree blocks are the only nonzero ones.
+    The basis holds one class "1" in degree 0, the b2 classes of `h2` in
+    degree 2, and one class "pt" in degree 4. The pairing couples "1" with
+    "pt" with value 1 and degree-2 classes through `h2`, an
+    IntersectionLattice of rank b2 (default: the identity form on
+    e1..e_b2, built in O(b2)); no other block is nonzero.
     """
 
     __slots__ = ("betti", "basis", "_degrees", "_pairing")
@@ -53,8 +54,7 @@ class SurfaceModel:
     def __init__(
         self,
         betti: tuple[int, int, int, int, int],
-        h2_pairing: Optional[tuple[tuple[int, ...], ...]] = None,
-        h2_labels: Optional[tuple[str, ...]] = None,
+        h2: Optional[IntersectionLattice] = None,
     ):
         betti = tuple(as_int(b, "Betti numbers must be integers") for b in betti)
         if len(betti) != 5:
@@ -68,39 +68,23 @@ class SurfaceModel:
             raise ValueError("odd cohomology unsupported")
         if any(b < 0 for b in betti):
             raise ValueError(f"Betti numbers must be non-negative, got {betti}")
-        if h2_labels is None:
-            h2_labels = tuple(f"e{i + 1}" for i in range(b2))
-        h2_labels = tuple(h2_labels)
-        for label in h2_labels:
-            if not isinstance(label, str):
-                raise ValueError(f"degree-2 labels must be strings, got {label!r}")
-        if len(h2_labels) != b2 or len(set(h2_labels)) != b2:
-            raise ValueError(f"need {b2} distinct degree-2 labels")
-        if {"1", "pt"} & set(h2_labels):
-            raise ValueError('labels "1" and "pt" are reserved')
-        if h2_pairing is None:
-            h2_pairing = tuple(
-                tuple(1 if i == j else 0 for j in range(b2)) for i in range(b2)
+        if h2 is None:
+            h2 = IntersectionLattice.from_entries(
+                {(i, i): 1 for i in range(b2)}, tuple(f"e{i + 1}" for i in range(b2))
             )
-        h2_pairing = tuple(
-            tuple(as_int(x, "degree-2 pairing entries must be integers") for x in row)
-            for row in h2_pairing
-        )
-        if len(h2_pairing) != b2 or any(len(r) != b2 for r in h2_pairing):
-            raise ValueError(f"degree-2 pairing must be {b2} x {b2}")
-        for i in range(b2):
-            for j in range(b2):
-                if h2_pairing[i][j] != h2_pairing[j][i]:
-                    raise ValueError("degree-2 pairing must be symmetric")
+        if not isinstance(h2, IntersectionLattice):
+            raise ValueError(f"h2 must be an IntersectionLattice, got {type(h2).__name__}")
+        if h2.rank != b2:
+            raise ValueError(f"h2 must have rank b2 = {b2}, got rank {h2.rank}")
+        if {"1", "pt"} & set(h2.labels):
+            raise ValueError('labels "1" and "pt" are reserved')
 
         self.betti = betti
-        self.basis = (("1", 0),) + tuple((lbl, 2) for lbl in h2_labels) + (("pt", 4),)
+        self.basis = (("1", 0),) + tuple((lbl, 2) for lbl in h2.labels) + (("pt", 4),)
         self._degrees = dict(self.basis)
         pairing = {("1", "pt"): 1, ("pt", "1"): 1}
-        for i, a in enumerate(h2_labels):
-            for j, b in enumerate(h2_labels):
-                if h2_pairing[i][j]:
-                    pairing[(a, b)] = h2_pairing[i][j]
+        for (i, j), x in h2.entries().items():
+            pairing[(h2.labels[i], h2.labels[j])] = x
         self._pairing = pairing
 
     def labels(self) -> tuple[str, ...]:
@@ -126,7 +110,7 @@ class SurfaceModel:
 
 def p2_surface() -> SurfaceModel:
     """The projective plane: Betti numbers (1, 0, 1, 0, 1), h.h = 1."""
-    return SurfaceModel((1, 0, 1, 0, 1), ((1,),), ("h",))
+    return SurfaceModel((1, 0, 1, 0, 1), IntersectionLattice(((1,),), ("h",)))
 
 
 def k3_surface() -> SurfaceModel:

@@ -333,7 +333,7 @@ def check_commutators(mk: int, depth: int) -> str:
     ]
     for rep in commutator_checks(surface, quads, probes):
         _expect(rep.passed, "[a_{}({}), a_-{}({})]", rep.m, rep.alpha, rep.k, rep.beta)
-    skew = SurfaceModel((1, 0, 2, 0, 1), ((0, 1), (1, 0)), ("f1", "f2"))
+    skew = SurfaceModel((1, 0, 2, 0, 1), IntersectionLattice(((0, 1), (1, 0)), ("f1", "f2")))
     probes2 = [
         FockState(skew, {mono: 1}) for mono in basis_monomials(skew, min(depth, 4))
     ]

@@ -69,6 +69,15 @@ def test_tangent_weights_count_and_symmetry():
 def test_degenerate_chart_rejected():
     with pytest.raises(ValueError, match="degenerate chart"):
         tangent_weights(Partition((1,)), CharVector(1, 0), CharVector(2, 0))
+    # chart characters are pairs of integers; bools pass
+    for u, shown in (
+        ((1.5, 0), r"chart character entries must be integers, got 1\.5"),
+        (("1", 0), "chart character entries must be integers, got '1'"),
+        ((1, 0, 0), r"chart character must be a pair of integers, got \(1, 0, 0\)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{shown}$"):
+            tangent_weights(Partition((1,)), u, (0, 1))
+    assert tangent_weights(Partition((1,)), (True, False), (0, 1)) == [(1, 0), (0, 1)]
 
 
 def test_cell_dimension_frozen():
@@ -82,6 +91,8 @@ def test_cell_dimension_rejects_zero_pairing():
     weights = tangent_weights(Partition((1, 1)), *STD)  # contains (1, -1)
     with pytest.raises(NonGenericError, match="non-generic"):
         cell_dimension(weights, CharVector(1, 1))
+    with pytest.raises(ValueError, match=r"^rho entries must be integers, got 1\.5$"):
+        cell_dimension(weights, (1.5, 1))
 
 
 def test_poincare_poly_type():
@@ -242,6 +253,16 @@ def test_poincare_p2_wall_rho_rejected():
             poincare_p2(3, rho)
         with pytest.raises(NonGenericError):
             brute_poincare_p2(3, rho)
+    # a float rho used to hide the wall (1, 3) under rounding and return
+    # ... + 7q^16 + q^18 + q^20; a non-integer or non-pair rho is refused
+    for call, n, rho, shown in (
+        (poincare_p2, 5, (0.1, 0.3), r"rho entries must be integers, got 0\.1"),
+        (poincare_affine, 2, ("1", "2"), "rho entries must be integers, got '1'"),
+        (poincare_affine, 2, (1, 2, 3), r"rho must be a pair of integers, got \(1, 2, 3\)"),
+        (poincare_affine, 2, 5, "rho must be a pair of integers, got 5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{shown}$"):
+            call(n, rho)
 
 
 def test_cell_tables_rejects_unknown_space(size_gate):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import hilb.heisenberg
 from hilb import (
     FockState,
+    IntersectionLattice,
     SurfaceModel,
     annihilate,
     basis_monomials,
@@ -27,9 +28,9 @@ P2 = p2_surface()
 K3 = k3_surface()
 NO_H2 = SurfaceModel((1, 0, 0, 0, 1))  # b2 = 0: no degree-2 factors
 # rank-2 middle cohomology with an off-diagonal pairing
-SKEW = SurfaceModel((1, 0, 2, 0, 1), ((0, 1), (1, 0)), ("f1", "f2"))
+SKEW = SurfaceModel((1, 0, 2, 0, 1), IntersectionLattice(((0, 1), (1, 0)), ("f1", "f2")))
 # a class pairing with two others, so annihilation can cancel terms
-DENSE = SurfaceModel((1, 0, 2, 0, 1), ((1, 2), (2, -1)), ("g1", "g2"))
+DENSE = SurfaceModel((1, 0, 2, 0, 1), IntersectionLattice(((1, 2), (2, -1)), ("g1", "g2")))
 
 
 def brute_character(surface, tmax):
@@ -67,16 +68,32 @@ def test_surface_model_validation():
         SurfaceModel((1, 0, 1.5, 0, 1))
     with pytest.raises(ValueError, match="^Betti numbers must be integers, got '2'$"):
         SurfaceModel((1, 0, "2", 0, 1))
-    with pytest.raises(ValueError, match=r"^degree-2 pairing entries must be integers, got 1\.0$"):
-        SurfaceModel((1, 0, 1, 0, 1), ((1.0,),))
+    # the degree-2 form is validated by IntersectionLattice alone
+    with pytest.raises(ValueError, match=r"^gram entries must be integers, got 1\.0$"):
+        SurfaceModel((1, 0, 1, 0, 1), IntersectionLattice(((1.0,),), ("h",)))
     assert SurfaceModel((True, 0, 1, 0, True)).betti == (1, 0, 1, 0, 1)
 
 
+def test_degree_two_form_is_a_lattice_of_rank_b2():
+    with pytest.raises(ValueError, match="^h2 must have rank b2 = 2, got rank 1$"):
+        SurfaceModel((1, 0, 2, 0, 1), IntersectionLattice(((1,),), ("h",)))
+    # the tuple-of-tuples form of the old h2_pairing parameter
+    with pytest.raises(ValueError, match="^h2 must be an IntersectionLattice, got tuple$"):
+        SurfaceModel((1, 0, 1, 0, 1), ((1,),))
+    with pytest.raises(ValueError, match='^labels "1" and "pt" are reserved$'):
+        SurfaceModel((1, 0, 1, 0, 1), IntersectionLattice(((1,),), ("pt",)))
+    # the default form on e1..e_b2 pairs e_i.e_j = delta_ij
+    three = SurfaceModel((1, 0, 3, 0, 1))
+    assert three.labels() == ("1", "e1", "e2", "e3", "pt")
+    for i, j in itertools.product(range(1, 4), repeat=2):
+        assert three.pair(f"e{i}", f"e{j}") == (i == j)
+
+
 def test_non_string_labels_are_refused():
-    with pytest.raises(ValueError, match="^degree-2 labels must be strings, got 3$"):
-        SurfaceModel((1, 0, 1, 0, 1), h2_labels=(3,))
-    with pytest.raises(ValueError, match="^degree-2 labels must be strings, got None$"):
-        SurfaceModel((1, 0, 2, 0, 1), h2_labels=("a", None))
+    with pytest.raises(ValueError, match="^basis labels must be strings, got 3$"):
+        SurfaceModel((1, 0, 1, 0, 1), IntersectionLattice(((1,),), (3,)))
+    with pytest.raises(ValueError, match="^basis labels must be strings, got None$"):
+        SurfaceModel((1, 0, 2, 0, 1), IntersectionLattice(((1, 0), (0, 1)), ("a", None)))
 
 
 def test_p2_surface_basis_and_pairing():

@@ -112,6 +112,7 @@ def test_non_generic_error_is_one_class():
         (hilb.strata_table(2), "StrataBoundTable(n=2, bounds={1: 6, 2: 4, 3: 2})"),
         (hilb.DivisorClass((1, -2)), "DivisorClass(coords=(1, -2))"),
         (hilb.NakajimaSequence((1, -2)), "NakajimaSequence(values=(1, -2))"),
+        (hilb.p2_lattice(), "IntersectionLattice(gram=((1,),), labels=('H',))"),
     ],
 )
 def test_validated_records_are_frozen_values(record, shown):
