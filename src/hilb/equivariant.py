@@ -61,7 +61,7 @@ def tangent_weights(lam, u: CharVector, v: CharVector) -> list[CharVector]:
     va, vb = v
     cols = lam.column_lengths()
     out = []
-    for r, p in enumerate(lam.parts):
+    for r, p in enumerate(lam):
         for c in range(p):
             a = p - c - 1  # arm
             l = cols[c] - r - 1  # leg, read off the conjugate
@@ -178,7 +178,7 @@ CellTable = dict[int, dict[int, int]]
 def _arm_legs(lam: Partition) -> list[tuple[int, int]]:
     """(arm, leg) of every box of lam, row-major; legs read off the conjugate."""
     cols = lam.column_lengths()
-    return [(p - c - 1, cols[c] - r - 1) for r, p in enumerate(lam.parts) for c in range(p)]
+    return [(p - c - 1, cols[c] - r - 1) for r, p in enumerate(lam) for c in range(p)]
 
 
 def cell_tables(

@@ -69,7 +69,7 @@ class StaircaseIdeal(NamedTuple):
 
     def contains(self, m: Monomial) -> bool:
         """Membership: the monomial lies outside the diagram."""
-        parts = self.shape.parts
+        parts = self.shape
         return m.yexp >= len(parts) or m.xexp >= parts[m.yexp]
 
     def quotient_basis(self) -> list[Monomial]:
@@ -82,7 +82,7 @@ class StaircaseIdeal(NamedTuple):
         Only the last box of a row can be killed by x, so only those boxes
         are tested, on their exponents, and only the socle is built.
         """
-        parts = self.shape.parts
+        parts = self.shape
         return [Monomial(parts[y] - 1, y) for y in _socle_rows(parts)]
 
 
@@ -102,14 +102,13 @@ def staircase(lam) -> StaircaseIdeal:
     The empty partition gives the unit ideal, generated by 1.
     """
     lam = as_partition(lam)
-    parts = lam.parts
-    if not parts:
+    if not lam:
         return StaircaseIdeal(lam, (Monomial(0, 0),))
-    gens = [Monomial(parts[0], 0)]
-    for b in range(1, len(parts)):
-        if parts[b] < parts[b - 1]:
-            gens.append(Monomial(parts[b], b))
-    gens.append(Monomial(0, len(parts)))
+    gens = [Monomial(lam[0], 0)]
+    for b in range(1, len(lam)):
+        if lam[b] < lam[b - 1]:
+            gens.append(Monomial(lam[b], b))
+    gens.append(Monomial(0, len(lam)))
     gens.sort()
     return StaircaseIdeal(lam, tuple(gens))
 
@@ -124,7 +123,7 @@ def generator_count(lam) -> int:
     at any point off the support, which is locally principal: its count
     is 1.
     """
-    parts = as_partition(lam).parts
+    parts = as_partition(lam)
     if not parts:
         return 1
     return 2 + sum(map(operator.gt, parts, parts[1:]))
@@ -139,7 +138,7 @@ def socle_count(lam) -> int:
     lam = as_partition(lam)
     if not lam:
         raise ValueError("socle undefined for the empty partition")
-    return len(_socle_rows(lam.parts))
+    return len(_socle_rows(lam))
 
 
 class HilbertBurchMatrix(NamedTuple):

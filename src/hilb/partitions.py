@@ -29,42 +29,43 @@ class Box(NamedTuple):
     col: int
 
 
-class Partition:
-    """Weakly decreasing tuple of positive integer parts, with cached size."""
+class Partition(tuple):
+    """Weakly decreasing tuple of positive integer parts.
 
-    __slots__ = ("parts", "size")
+    Equal to, hashed and ordered (lexicographically) as the plain tuple of
+    its parts. Every instance, unpickled ones too, is shape-checked by _shaped.
+    """
+
+    __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
         return _shaped(tuple(as_int(p, "parts must be positive integers") for p in parts))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
+    @property
+    def parts(self) -> tuple[int, ...]:
+        """The parts as a plain tuple."""
+        return tuple(self)
 
-    def __hash__(self) -> int:
-        return hash(self.parts)
+    @property
+    def size(self) -> int:
+        return sum(self)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
+    def __reduce__(self):
+        return (Partition, (tuple(self),))
 
     def __repr__(self) -> str:
-        return f"Partition{self.parts!r}"
+        return f"Partition{tuple(self)!r}"
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
     def box_in(self, box) -> bool:
         r, c = _coordinates(box)
-        return 0 <= r < len(self.parts) and 0 <= c < self.parts[r]
+        return 0 <= r < len(self) and 0 <= c < self[r]
 
     def boxes(self) -> Iterator[Box]:
         """All boxes, row-major."""
-        for r, p in enumerate(self.parts):
+        for r, p in enumerate(self):
             for c in range(p):
                 yield Box(r, c)
 
@@ -73,14 +74,14 @@ class Partition:
         if not self.box_in(box):
             raise ValueError(f"box not in partition: {tuple(box)} not in {self}")
         r, c = _coordinates(box)
-        return self.parts[r] - c - 1
+        return self[r] - c - 1
 
     def leg(self, box) -> int:
         """Boxes strictly below `box` in its column."""
         if not self.box_in(box):
             raise ValueError(f"box not in partition: {tuple(box)} not in {self}")
         r, c = _coordinates(box)
-        return sum(1 for rr in range(r + 1, len(self.parts)) if self.parts[rr] > c)
+        return sum(1 for rr in range(r + 1, len(self)) if self[rr] > c)
 
     def conjugate(self) -> "Partition":
         """Transpose the diagram."""
@@ -91,23 +92,22 @@ class Partition:
 
         One pass over rows and columns together, O(rows + columns).
         """
-        parts = self.parts
-        rows = len(parts)
+        rows = len(self)
         out = []
-        for c in range(parts[0] if parts else 0):
-            while parts[rows - 1] <= c:
+        for c in range(self[0] if self else 0):
+            while self[rows - 1] <= c:
                 rows -= 1
             out.append(rows)
         return out
 
     def distinct_part_count(self) -> int:
-        return len(set(self.parts))
+        return len(set(self))
 
     def contains(self, other: "Partition") -> bool:
         """Diagram containment, box by box."""
-        if len(other.parts) > len(self.parts):
+        if len(other) > len(self):
             return False
-        return all(map(operator.le, other.parts, self.parts))
+        return all(map(operator.le, other, self))
 
     def covers(self) -> list["Partition"]:
         """Partitions of size+1 whose diagram adds one box, by ascending row.
@@ -115,13 +115,12 @@ class Partition:
         There is one per addable corner; the count is always the number
         of distinct part values plus one (the new-row slot).
         """
-        parts = self.parts
         out = []
-        for r in range(len(parts) + 1):
-            cur = parts[r] if r < len(parts) else 0
-            if r > 0 and parts[r - 1] == cur:
+        for r in range(len(self) + 1):
+            cur = self[r] if r < len(self) else 0
+            if r > 0 and self[r - 1] == cur:
                 continue
-            out.append(_shaped(parts[:r] + (cur + 1,) + parts[r + 1 :]))
+            out.append(_shaped(self[:r] + (cur + 1,) + self[r + 1 :]))
         return out
 
     def cocovers(self) -> list["Partition"]:
@@ -130,14 +129,13 @@ class Partition:
         One per removable corner; the count equals the number of
         distinct part values.
         """
-        if not self.parts:
+        if not self:
             raise ValueError("no cocovers: the empty partition has no removable box")
-        parts = self.parts
         out = []
-        for r, p in enumerate(parts):
-            if p == (parts[r + 1] if r + 1 < len(parts) else 0):
+        for r, p in enumerate(self):
+            if p == (self[r + 1] if r + 1 < len(self) else 0):
                 continue
-            out.append(_shaped(parts[:r] + ((p - 1,) if p > 1 else ()) + parts[r + 1 :]))
+            out.append(_shaped(self[:r] + ((p - 1,) if p > 1 else ()) + self[r + 1 :]))
         return out
 
 
@@ -151,10 +149,7 @@ def _shaped(pts: tuple[int, ...]) -> Partition:
                 raise ValueError(f"parts must be positive integers, got {p}")
             if i > 0 and pts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {pts}")
-    lam = object.__new__(Partition)
-    lam.parts = pts
-    lam.size = sum(pts)
-    return lam
+    return tuple.__new__(Partition, pts)
 
 
 def _coordinates(box) -> tuple[int, int]:

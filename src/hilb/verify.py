@@ -237,7 +237,7 @@ def check_punctual(top: int) -> str:
     """Punctual cells from tangent weights vs one cell of dimension n - lambda_1 each."""
     for n in range(1, top + 1):
         poly = poincare_punctual(n)
-        want = PoincarePoly.from_cell_dims(n - lam.parts[0] for lam in enumerate_partitions(n))
+        want = PoincarePoly.from_cell_dims(n - lam[0] for lam in enumerate_partitions(n))
         _expect(poly.evaluate(1) == pentagonal_partition_count(n), "count at n={}", n)
         _expect(poly.degree == 2 * (n - 1), "top dim at n={}", n)
         _expect(poly == want, "cells at n={}: {} != {}", n, poly, want)
