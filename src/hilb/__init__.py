@@ -15,10 +15,11 @@ __version__ = "0.1.0"
 
 # Each layer is imported on first use, so a process loads only the layers
 # it touches (`hilb partitions` never compiles the Fock model). The names
-# below are re-exported from the layer that defines or re-exports them,
-# resolved by the module __getattr__ and then cached in this namespace.
+# below are re-exported from the module that defines them, resolved by the
+# module __getattr__ and then cached in this namespace.
 _EXPORTS = {
-    "errors": ("ConsistencyError",),
+    "errors": ("ConsistencyError", "NonGenericError"),
+    "common": ("DivisorClass", "IntersectionLattice", "format_poly"),
     "partitions": (
         "Box",
         "Partition",
@@ -40,13 +41,11 @@ _EXPORTS = {
         "AFFINE_CHART",
         "P2_CHART_WEIGHTS",
         "CharVector",
-        "NonGenericError",
         "PoincarePoly",
         "cell_dimension",
         "cell_tables",
         "default_rho",
         "fixed_points_p2",
-        "format_poly",
         "poincare_affine",
         "poincare_from_tables",
         "poincare_p2",
@@ -68,8 +67,6 @@ _EXPORTS = {
         "strata_table",
     ),
     "lattice": (
-        "DivisorClass",
-        "IntersectionLattice",
         "NakajimaSequence",
         "blow_up",
         "exceptional_total_square",

@@ -14,26 +14,35 @@ from typing import Mapping
 from .errors import as_int
 
 
-class Record:
-    """Immutable record over the `__slots__` of its class, in slot order.
+class Frozen:
+    """Base of the immutable classes: assignment and deletion raise AttributeError.
 
-    Compared (with records of the same class only), hashed, shown as
-    `Name(field=value, ...)` and pickled by its fields. A subclass validates
-    in `__init__` and stores each field with `object.__setattr__`; any
-    later assignment or deletion raises AttributeError. Unpickling goes
-    back through `__init__`, so it validates again.
+    A subclass stores each field in `__init__` with `object.__setattr__`,
+    and its `__reduce__` goes back through `__init__`, so unpickling
+    validates again.
     """
 
     __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Frozen):
+    """Immutable record over the `__slots__` of its class, in slot order.
+
+    Compared (with records of the same class only), hashed, shown as
+    `Name(field=value, ...)` and pickled by its fields. A subclass validates
+    in `__init__` and stores each field with `object.__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object):
         if type(other) is not type(self):

@@ -19,9 +19,10 @@ and the small-n projective values must come out right.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
-from .common import format_poly
+from .common import Frozen, format_poly
 from .errors import NonGenericError, as_int, as_size
 from .partitions import Partition, as_partition, enumerate_partitions
 
@@ -90,8 +91,11 @@ def cell_dimension(weights: Iterable[CharVector], rho: CharVector) -> int:
     return dim
 
 
-class PoincarePoly:
-    """Even-degree polynomial in q with non-negative integer coefficients."""
+class PoincarePoly(Frozen):
+    """Even-degree polynomial in q with non-negative integer coefficients.
+
+    `coeffs` is a read-only {degree: coefficient} view.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -108,7 +112,10 @@ class PoincarePoly:
                 raise ValueError(f"coefficients must be non-negative, got {c}")
             if c:
                 clean[d] = c
-        self.coeffs = clean
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+
+    def __reduce__(self):
+        return (PoincarePoly, (dict(self.coeffs),))
 
     @classmethod
     def from_cell_dims(cls, dims: Iterable[int]) -> "PoincarePoly":
@@ -134,7 +141,7 @@ class PoincarePoly:
         return hash(tuple(sorted(self.coeffs.items())))
 
     def __repr__(self) -> str:
-        return f"PoincarePoly({self.coeffs!r})"
+        return f"PoincarePoly({dict(self.coeffs)!r})"
 
     def __str__(self) -> str:
         return format_poly(self.coeffs, "q")

@@ -33,23 +33,25 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
-from .common import IntersectionLattice, format_poly
+from .common import Frozen, IntersectionLattice, format_poly
 from .errors import as_int, as_size
 
 
-class SurfaceModel:
+class SurfaceModel(Frozen):
     """Even-cohomology surface: Betti numbers plus the intersection pairing.
 
     The basis holds one class "1" in degree 0, the b2 classes of `h2` in
     degree 2, and one class "pt" in degree 4. The pairing couples "1" with
     "pt" with value 1 and degree-2 classes through `h2`, an
     IntersectionLattice of rank b2 (default: the identity form on
-    e1..e_b2, built in O(b2)); no other block is nonzero.
+    e1..e_b2, built in O(b2)); no other block is nonzero. Immutable, and
+    compared and hashed by identity.
     """
 
-    __slots__ = ("betti", "basis", "_degrees", "_pairing")
+    __slots__ = ("betti", "h2", "basis", "_degrees", "_pairing")
 
     def __init__(
         self,
@@ -79,13 +81,18 @@ class SurfaceModel:
         if {"1", "pt"} & set(h2.labels):
             raise ValueError('labels "1" and "pt" are reserved')
 
-        self.betti = betti
-        self.basis = (("1", 0),) + tuple((lbl, 2) for lbl in h2.labels) + (("pt", 4),)
-        self._degrees = dict(self.basis)
+        basis = (("1", 0),) + tuple((lbl, 2) for lbl in h2.labels) + (("pt", 4),)
         pairing = {("1", "pt"): 1, ("pt", "1"): 1}
         for (i, j), x in h2.entries().items():
             pairing[(h2.labels[i], h2.labels[j])] = x
-        self._pairing = pairing
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_degrees", dict(basis))
+        object.__setattr__(self, "_pairing", pairing)
+
+    def __reduce__(self):
+        return (SurfaceModel, (self.betti, self.h2))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.basis)
@@ -118,11 +125,12 @@ def k3_surface() -> SurfaceModel:
     return SurfaceModel((1, 0, 22, 0, 1))
 
 
-class GradedSeries:
+class GradedSeries(Frozen):
     """Truncated bigraded series: integer coefficients on (t-degree, u-degree).
 
     Truncation is in the t-degree; u-degrees are even and bounded by 4n
-    at t-degree n, which the constructor enforces.
+    at t-degree n, which the constructor enforces. `coeffs` is a read-only
+    view.
     """
 
     __slots__ = ("truncation", "coeffs")
@@ -142,8 +150,11 @@ class GradedSeries:
                 raise ValueError(f"bad u-degree {m} at t-degree {n}")
             if c:
                 clean[(n, m)] = c
-        self.truncation = truncation
-        self.coeffs = clean
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+
+    def __reduce__(self):
+        return (GradedSeries, (self.truncation, dict(self.coeffs)))
 
     def t_slice(self, n: int) -> dict[int, int]:
         """Coefficients of t^n as a {u-degree: coefficient} map."""

@@ -1,5 +1,7 @@
 """Torus weights, attracting-cell dimensions, and Betti polynomials."""
 
+import pickle
+
 import pytest
 
 from hilb import (
@@ -120,6 +122,14 @@ def test_poincare_poly_type():
         PoincarePoly({0: 1, 2: 1}).coefficient(2.5)
     assert PoincarePoly({0: 1, 2: 1}).coefficient(False) == 1
     assert format_poly({0: 1, 2: 1}, "u") == "1 + u^2"
+    # the coefficient map is read-only, so no odd or negative term gets in
+    with pytest.raises(TypeError):
+        poly.coeffs[3] = -7
+    with pytest.raises(AttributeError, match="^PoincarePoly is immutable$"):
+        poly.coeffs = {3: -7}
+    assert str(poly) == "1 + 2q^2 + q^4"
+    copy = pickle.loads(pickle.dumps(poly))
+    assert (copy, hash(copy), repr(copy)) == (poly, hash(poly), "PoincarePoly({0: 1, 2: 2, 4: 1})")
 
 
 def test_poincare_affine_frozen():

@@ -1,6 +1,7 @@
 """Generating series, Fock-space operators, and commutator scalars."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,38 @@ def test_non_string_labels_are_refused():
         SurfaceModel((1, 0, 1, 0, 1), IntersectionLattice(((1,),), (3,)))
     with pytest.raises(ValueError, match="^basis labels must be strings, got None$"):
         SurfaceModel((1, 0, 2, 0, 1), IntersectionLattice(((1, 0), (0, 1)), ("a", None)))
+
+
+def test_surface_model_is_immutable():
+    surface = p2_surface()
+    for field in SurfaceModel.__slots__:
+        with pytest.raises(AttributeError, match="^SurfaceModel is immutable$"):
+            setattr(surface, field, None)
+        with pytest.raises(AttributeError, match="^SurfaceModel is immutable$"):
+            delattr(surface, field)
+    # the two routes of the fock-character check read the one surface
+    assert fock_character(surface, 3) == goettsche_series(surface, 3)
+    # unpickling goes back through __init__; surfaces compare by identity
+    copy = pickle.loads(pickle.dumps(SKEW))
+    assert (copy.betti, copy.h2, copy.basis) == (SKEW.betti, SKEW.h2, SKEW.basis)
+    assert [copy.pair(a, b) for a in copy.labels() for b in copy.labels()] == [
+        SKEW.pair(a, b) for a in SKEW.labels() for b in SKEW.labels()
+    ]
+    assert copy != SKEW and len({copy, SKEW}) == 2
+    assert repr(copy) == "SurfaceModel(betti=(1, 0, 2, 0, 1))"
+
+
+def test_series_coefficients_are_read_only():
+    series = goettsche_series(P2, 2)
+    with pytest.raises(TypeError):
+        series.coeffs[(1, 2)] = -7
+    for field, value in (("coeffs", {}), ("truncation", 5)):
+        with pytest.raises(AttributeError, match="^GradedSeries is immutable$"):
+            setattr(series, field, value)
+    assert series.t_slice(1) == {0: 1, 2: 1, 4: 1}
+    copy = pickle.loads(pickle.dumps(series))
+    assert copy == series and copy is not series
+    assert repr(copy) == "GradedSeries(truncation=2, terms=9)"
 
 
 def test_p2_surface_basis_and_pairing():

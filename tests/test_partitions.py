@@ -1,5 +1,7 @@
 """Partition layer: frozen examples plus exhaustive small-n invariants."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +64,22 @@ def test_validation(size_gate):
             pentagonal_partition_count(bad)
     assert pentagonal_partition_count(-1) == 0
     assert pentagonal_partition_count(True) == 1
+
+
+def test_partition_is_a_frozen_tuple_of_its_parts():
+    lam = Partition((3, 1))
+    for field in ("parts", "size"):
+        with pytest.raises(AttributeError):
+            setattr(lam, field, (1, 3))
+        with pytest.raises(AttributeError):
+            delattr(lam, field)
+    assert (lam, str(lam), repr(lam), lam.size) == ((3, 1), "(3,1)", "Partition(3, 1)", 4)
+    assert type(lam.parts) is tuple and lam.parts == (3, 1)
+    assert lam == (3, 1) and hash(lam) == hash((3, 1)) and lam in {(3, 1)}
+    assert Partition((2, 2)) < lam < Partition((3, 2))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(lam, protocol))
+        assert type(copy) is Partition and copy == lam
 
 
 def test_enumerate_small_frozen():
@@ -254,6 +272,7 @@ def test_produced_partitions_equal_public_construction():
     # the producers skip the coercion, not the shape check: each partition
     # they make equals the one the public constructor builds from its parts
     def same(lam):
+        assert type(lam) is Partition
         public = Partition(lam.parts)
         assert (lam.parts, lam.size) == (public.parts, public.size)
         assert all(type(p) is int for p in lam.parts)

@@ -103,6 +103,25 @@ def test_non_generic_error_is_one_class():
 
 
 @pytest.mark.parametrize(
+    "name, loaded",
+    [
+        ("NonGenericError", {"hilb", "hilb.errors"}),
+        ("IntersectionLattice", {"hilb", "hilb.errors", "hilb.common"}),
+    ],
+)
+def test_leaf_reexport_loads_only_its_module(name, loaded):
+    probe = (
+        f"import sys, hilb; hilb.{name}; "
+        "print(*(m for m in sys.modules if m == 'hilb' or m.startswith('hilb.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", probe],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (set(proc.stdout.split()), proc.stderr) == (loaded, "")
+
+
+@pytest.mark.parametrize(
     "record, shown",
     [
         (
