@@ -13,8 +13,13 @@ coefficient-wise equality is a real cross-check:
     negative-binomial coefficients;
   * fock_character multiplies one plain geometric series per creation
     generator and never touches a binomial.
+Both keep the t^n row of the series as one packed int, whose slot h of
+_slot_bits(surface, truncation) bits holds the coefficient of u^(2h), so
+multiplying a row by t^m u^(2k) is one shift and adding rows is one
+integer addition; no slot ever carries into the next (_slot_bits proves
+the width), and one unpacker builds the validated GradedSeries.
 
-Annihilation operators act as derivations with
+Fock states are immutable, with a read-only `terms` view. Annihilation operators act as derivations with
 
     [a_m(alpha), a_{-k}(beta)] = delta_{mk} * c_m * <alpha, beta> * id,
 
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect
-from operator import add
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
@@ -181,20 +185,37 @@ class GradedSeries(Frozen):
         return f"GradedSeries(truncation={self.truncation}, terms={len(self.coeffs)})"
 
 
-def _unit_rows(truncation: int) -> list[list[int]]:
-    """The series 1 as rows[n][h], the coefficient of t^n u^(2h), h <= 2n."""
-    truncation = as_size(truncation, 0, "truncation")
-    rows = [[0] * (2 * n + 1) for n in range(truncation + 1)]
-    rows[0][0] = 1
-    return rows
+def _slot_bits(surface: SurfaceModel, truncation: int) -> int:
+    """Bits per u-slot of a packed series row: max(1, T * bit_length(2 * chi)).
+
+    A packed row n is one int whose slot h, bits [h*B, (h+1)*B), holds
+    the coefficient of t^n u^(2h). Slots never carry. Every factor of
+    either product has non-negative coefficients and constant term 1, so
+    no partial product or partial sum exceeds the final coefficient. With
+    chi = sum(betti) >= 2 classes, the final coefficient of t^n u^(2h) is
+    at most the number of chi-coloured partitions of n, and writing the
+    parts of each in sorted order makes it a chi-coloured composition, of
+    which there are sum_k C(n-1, k-1) chi^k <= 2^(n-1) chi^n. With
+    L = bit_length(2 chi), chi < 2^(L-1), so for 1 <= n <= T the
+    coefficient is below 2^(n-1) * 2^(n(L-1)) <= 2^(T*L - 1): its bit
+    length is below B, and at n = 0 it is 1. Shifting row n - m by
+    k = m - 1 + d/2 slots keeps h <= 2n, since row n - m ends at slot
+    2(n - m) and 2(n - m) + k <= 2n - m + 1 <= 2n.
+    """
+    return max(1, truncation * (2 * surface.euler_characteristic()).bit_length())
 
 
-def _series(rows: list[list[int]]) -> GradedSeries:
-    """The validated series whose t^n u^(2h) coefficient is rows[n][h]."""
-    return GradedSeries(
-        len(rows) - 1,
-        {(n, 2 * h): c for n, row in enumerate(rows) for h, c in enumerate(row)},
-    )
+def _series(rows: list[int], bits: int) -> GradedSeries:
+    """The validated series whose t^n u^(2h) coefficient is slot h of rows[n]."""
+    mask = (1 << bits) - 1
+    coeffs = {}
+    for n, row in enumerate(rows):
+        h = 0
+        while row:
+            coeffs[(n, 2 * h)] = row & mask
+            row >>= bits
+            h += 1
+    return GradedSeries(len(rows) - 1, coeffs)
 
 
 def goettsche_series(surface: SurfaceModel, truncation: int) -> GradedSeries:
@@ -203,26 +224,27 @@ def goettsche_series(surface: SurfaceModel, truncation: int) -> GradedSeries:
     Product over levels m and even degrees d of
     (1 - t^m u^(2m-2+d))^(-b_d), truncated in t.
 
-    Multiplying by (1 - t^m u^(2k))^(-b) adds comb(b-1+j, j) times row
-    n - jm, shifted by jk, to row n for every j >= 1. Rows are updated
-    from the top down, so every row read is still without the factor.
+    Rows are packed ints (see _slot_bits). Multiplying by
+    (1 - t^m u^(2k))^(-b) adds comb(b-1+j, j) times row n - jm, shifted
+    by jk slots, to row n for every j >= 1. Rows are updated from the top
+    down, so every row read is still without the factor.
     """
-    rows = _unit_rows(truncation)
+    truncation = as_size(truncation, 0, "truncation")
+    bits = _slot_bits(surface, truncation)
+    rows = [1] + [0] * truncation
     for m in range(1, truncation + 1):
         for d in (0, 2, 4):
             b = surface.betti[d]
             if not b:
                 continue
-            k = m - 1 + d // 2
+            shift = (m - 1 + d // 2) * bits
             binomials = [math.comb(b - 1 + j, j) for j in range(truncation // m + 1)]
             for n in range(truncation, m - 1, -1):
-                dst = rows[n]
+                acc = rows[n]
                 for j in range(1, n // m + 1):
-                    src, c, lo = rows[n - j * m], binomials[j], j * k
-                    dst[lo : lo + len(src)] = [
-                        a + c * x for a, x in zip(dst[lo : lo + len(src)], src)
-                    ]
-    return _series(rows)
+                    acc += binomials[j] * rows[n - j * m] << j * shift
+                rows[n] = acc
+    return _series(rows, bits)
 
 
 def fock_character(surface: SurfaceModel, truncation: int) -> GradedSeries:
@@ -231,19 +253,20 @@ def fock_character(surface: SurfaceModel, truncation: int) -> GradedSeries:
     One plain geometric factor per generator a_{-m}(gamma); must agree
     with goettsche_series coefficient by coefficient.
 
-    rows[n][h] holds the coefficient of t^n u^(2h). Multiplying by
+    Rows are packed ints (see _slot_bits). Multiplying by
     1/(1 - t^m u^(2k)) is the in-place recurrence
-    rows[n][h] += rows[n - m][h - k] over ascending n, since row n - m
+    rows[n] += rows[n - m] << k slots over ascending n, since row n - m
     already carries the factor when row n reads it.
     """
-    rows = _unit_rows(truncation)
+    truncation = as_size(truncation, 0, "truncation")
+    bits = _slot_bits(surface, truncation)
+    rows = [1] + [0] * truncation
     for m in range(1, truncation + 1):
         for _, d in surface.basis:
-            k = m - 1 + d // 2
+            shift = (m - 1 + d // 2) * bits
             for n in range(m, truncation + 1):
-                src, dst = rows[n - m], rows[n]
-                dst[k : k + len(src)] = map(add, dst[k : k + len(src)], src)
-    return _series(rows)
+                rows[n] += rows[n - m] << shift
+    return _series(rows, bits)
 
 
 # A Fock monomial is a sorted tuple of (level, class-label) factors; the
@@ -251,17 +274,17 @@ def fock_character(surface: SurfaceModel, truncation: int) -> GradedSeries:
 FockMonomial = tuple[tuple[int, str], ...]
 
 
-class FockState:
+class FockState(Frozen):
     """Integer linear combination of commuting creation monomials.
 
     Invariant: `terms` maps sorted monomials to non-zero integer
     coefficients, and every factor has an integer level >= 1 and a label
-    of `surface`. Only this public constructor validates and
-    canonicalises its input, coercing levels and coefficients with
-    errors.as_int; `create`, `annihilate`, `+`, `-` and `k *` (which
-    coerces k the same way) start from states that already hold the
-    invariant and build canonical terms directly through `_of`, which
-    checks nothing.
+    of `surface`. Immutable: `terms` is a read-only view. Only this
+    public constructor validates and canonicalises its input, coercing
+    levels and coefficients with errors.as_int; `create`, `annihilate`,
+    `+`, `-` and `k *` (which coerces k the same way) start from states
+    that already hold the invariant and build canonical terms directly
+    through `_of`, which checks nothing.
     """
 
     __slots__ = ("surface", "terms")
@@ -281,18 +304,24 @@ class FockState:
                 surface.degree(label)
             if type(c) is not int:
                 c = as_int(c, "Fock coefficients must be integers")
+            c += clean.get(mono, 0)
             if c:
-                clean[mono] = clean.get(mono, 0) + c
-        self.surface = surface
-        self.terms = {m: c for m, c in clean.items() if c}
+                clean[mono] = c
+            else:
+                clean.pop(mono, None)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def _of(cls, surface: SurfaceModel, terms: dict) -> "FockState":
         """A state whose `terms` already hold the invariant; nothing is checked."""
         state = object.__new__(cls)
-        state.surface = surface
-        state.terms = terms
+        object.__setattr__(state, "surface", surface)
+        object.__setattr__(state, "terms", MappingProxyType(terms))
         return state
+
+    def __reduce__(self):
+        return (FockState, (self.surface, dict(self.terms)))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -347,7 +376,7 @@ def vacuum(surface: SurfaceModel) -> FockState:
 
 def _merged(a: dict, b: dict, sign: int) -> dict:
     """Canonical terms of a + sign * b, for canonical a and b."""
-    merged = dict(a)
+    merged = a.copy()
     for mono, c in b.items():
         c = merged.get(mono, 0) + sign * c
         if c:

@@ -18,6 +18,7 @@ strata_table writes it down directly.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from .common import Record
@@ -32,7 +33,7 @@ class NestedPair(Record):
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: Partition, upper: Partition):
-        if upper.size != lower.size + 1 or not upper.contains(lower):
+        if sum(upper) != sum(lower) + 1 or not upper.contains(lower):
             raise ValueError(f"not nested with one extra box: {lower} -> {upper}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -97,13 +98,15 @@ class StrataBoundTable(Record):
     Absent indices are genuinely empty strata (no propagation source),
     never encoded as 0 or a sentinel number. Propagated bounds may be
     vacuous for strata that happen to be empty; that is harmless, the
-    bound still holds.
+    bound still holds. `bounds` is a read-only copy of the caller's
+    mapping, shown and pickled as a dict.
     """
 
     __slots__ = ("n", "bounds")
 
     def __init__(self, n: int, bounds: Mapping[int, int]):
         n = as_size(n, 1, "table size")
+        bounds = dict(bounds)
         for i, b in bounds.items():
             if i < 1 or not isinstance(i, int):
                 raise ValueError(f"malformed table: bad index {i}")
@@ -115,7 +118,13 @@ class StrataBoundTable(Record):
                 f"{2 * n + 2} at size {n}"
             )
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "bounds", MappingProxyType(bounds))
+
+    def __reduce__(self):
+        return (StrataBoundTable, (self.n, dict(self.bounds)))
+
+    def __repr__(self) -> str:
+        return f"StrataBoundTable(n={self.n}, bounds={dict(self.bounds)!r})"
 
     @property
     def ambient_dim(self) -> int:

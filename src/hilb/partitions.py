@@ -116,11 +116,13 @@ class Partition(tuple):
         of distinct part values plus one (the new-row slot).
         """
         out = []
-        for r in range(len(self) + 1):
-            cur = self[r] if r < len(self) else 0
-            if r > 0 and self[r - 1] == cur:
-                continue
-            out.append(_shaped(self[:r] + (cur + 1,) + self[r + 1 :]))
+        r = 0
+        while r < len(self):
+            # r is the top row of its run of equal parts: the run's corner
+            p = self[r]
+            out.append(_shaped(self[:r] + (p + 1,) + self[r + 1 :]))
+            r += self.count(p)
+        out.append(_shaped(self + (1,)))
         return out
 
     def cocovers(self) -> list["Partition"]:
@@ -169,11 +171,18 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
     enumerate_partitions(3) gives (3), (2,1), (1,1,1).
     """
-    return list(map(_shaped, _descending_lex(as_size(n, 0, "partition size"))))
+    out = []
+    for pts in _descending_lex(as_size(n, 0, "partition size")):
+        # _shaped's test, on the generator's list; _shaped names a fault
+        if pts and (pts[-1] <= 0 or pts != sorted(pts, reverse=True)):
+            out.append(_shaped(tuple(pts)))
+        else:
+            out.append(tuple.__new__(Partition, pts))
+    return out
 
 
-def _descending_lex(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n as part tuples, in descending lexicographic order.
+def _descending_lex(n: int) -> Iterator[list[int]]:
+    """Partitions of n as part lists, in descending lexicographic order.
 
     Iterative descending-composition generator (Zoghbi-Stojmenovic ZS1,
     the descending encoding compared by Kelleher and O'Sullivan,
@@ -183,12 +192,12 @@ def _descending_lex(n: int) -> Iterator[tuple[int, ...]]:
     than it, in constant amortised time per partition.
     """
     if n == 0:
-        yield ()
+        yield []
         return
     x = [1] * n
     x[0] = n
     m, h = 1, 0
-    yield (n,)
+    yield [n]
     while x[0] != 1:
         if x[h] == 2:
             x[h] = 1
@@ -209,7 +218,7 @@ def _descending_lex(n: int) -> Iterator[tuple[int, ...]]:
                 if t > 1:
                     h += 1
                     x[h] = t
-        yield tuple(x[:m])
+        yield x[:m]
 
 
 def pentagonal_partition_count(n: int) -> int:

@@ -57,6 +57,20 @@ def brute_character(surface, tmax):
     return coeffs
 
 
+def dense_product(surface, tmax):
+    # reference for the packed rows: rows[n][h] is the t^n u^(2h) coefficient
+    # in plain lists, times one geometric factor per creation generator
+    rows = [[0] * (2 * n + 1) for n in range(tmax + 1)]
+    rows[0][0] = 1
+    for m in range(1, tmax + 1):
+        for label in surface.labels():
+            k = m - 1 + surface.degree(label) // 2
+            for n in range(m, tmax + 1):
+                for h, c in enumerate(rows[n - m]):
+                    rows[n][h + k] += c
+    return {(n, 2 * h): c for n, row in enumerate(rows) for h, c in enumerate(row) if c}
+
+
 def test_surface_model_validation():
     with pytest.raises(ValueError, match="odd cohomology unsupported"):
         SurfaceModel((1, 1, 1, 1, 1))
@@ -245,6 +259,27 @@ def test_fock_states_hold_integers_only(size_gate):
     size_gate(lambda m: create(vacuum(P2), m, "h"), "creation level", 1)
     size_gate(lambda m: annihilate(create(vacuum(P2), 1, "h"), m, "h"), "annihilation level", 1)
     size_gate(lambda t: basis_monomials(P2, t), "t-weight", 0)
+
+
+def test_fock_states_are_immutable():
+    vac = vacuum(P2)
+    # the invariant could be broken after construction, and vac then
+    # printed FockState(1*vac + 0*a[-1](nope))
+    with pytest.raises(TypeError):
+        vac.terms[((1, "nope"),)] = 0
+    for field in FockState.__slots__:
+        with pytest.raises(AttributeError, match="^FockState is immutable$"):
+            setattr(vac, field, None)
+        with pytest.raises(AttributeError, match="^FockState is immutable$"):
+            delattr(vac, field)
+    assert vac == vacuum(vac.surface) and repr(vac) == "FockState(1*vac)"
+    one = create(vac, 1, "pt")
+    for made in (one, annihilate(one, 1, "1"), one + vac, one - one, 2 * one):
+        with pytest.raises(TypeError):
+            made.terms[()] = 5
+    # unpickling goes back through __init__, onto a copy of the surface
+    copy = pickle.loads(pickle.dumps(one))
+    assert copy.terms == one.terms and repr(copy) == "FockState(1*a[-1](pt))"
 
 
 @st.composite
@@ -506,6 +541,21 @@ def test_fock_equals_goettsche_to_order_14():
     for surface in (P2, K3):
         for tmax in range(15):
             assert fock_character(surface, tmax) == goettsche_series(surface, tmax)
+
+
+@pytest.mark.parametrize(
+    "surface, tmax",
+    [(P2, 25), (K3, 25), (SKEW, 20), (SurfaceModel((1, 0, 3000, 0, 1)), 3)],
+    ids=["p2", "k3", "skew", "b2-3000"],
+)
+def test_packed_series_match_a_dense_product(surface, tmax):
+    want = dense_product(surface, tmax)
+    bits = hilb.heisenberg._slot_bits(surface, tmax)
+    for series in (goettsche_series(surface, tmax), fock_character(surface, tmax)):
+        assert series.coeffs == want
+        # no slot carries into the next: the top bit of every slot stays clear
+        for n in range(tmax + 1):
+            assert max(series.t_slice(n).values()).bit_length() < bits
 
 
 def test_degree_rejects_unknown_labels():

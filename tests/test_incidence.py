@@ -117,6 +117,19 @@ def test_strata_table_validation():
         StrataBoundTable(1, {1: 4, 0: 1})
 
 
+def test_strata_tables_keep_their_own_bounds():
+    # the table used to store the caller's dict, so both writes went through
+    given = {1: 4, 2: 2}
+    table = StrataBoundTable(1, given)
+    given[1] = 0
+    assert table.bound(1) == 4 and table == strata_base()
+    three = strata_table(3)
+    with pytest.raises(TypeError):
+        three.bounds[1] = 0
+    assert three.bound(1) == 8
+    assert repr(three) == "StrataBoundTable(n=3, bounds={1: 8, 2: 6, 3: 4, 4: 2})"
+
+
 def test_strata_propagate_frozen():
     two = strata_propagate(strata_base())
     assert two.n == 2

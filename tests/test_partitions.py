@@ -216,6 +216,22 @@ def test_covers_against_brute_force():
             )
 
 
+def test_covers_equal_a_scan_of_every_row():
+    # covers jumps from corner to corner; the scan tries every row and
+    # keeps the addable ones, in the same ascending-row order
+    def scan(parts):
+        out = []
+        for r in range(len(parts) + 1):
+            cur = parts[r] if r < len(parts) else 0
+            if r == 0 or parts[r - 1] > cur:
+                out.append(parts[:r] + (cur + 1,) + parts[r + 1 :])
+        return out
+
+    for n in range(16):
+        for lam in enumerate_partitions(n):
+            assert [mu.parts for mu in lam.covers()] == scan(lam.parts)
+
+
 def test_containment():
     assert Partition((3, 1)).contains(Partition((2, 1)))
     assert not Partition((2, 2)).contains(Partition((3,)))
