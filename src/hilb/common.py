@@ -9,6 +9,7 @@ these without loading any other layer.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import as_int
@@ -17,9 +18,9 @@ from .errors import as_int
 class Frozen:
     """Base of the immutable classes: assignment and deletion raise AttributeError.
 
-    A subclass stores each field in `__init__` with `object.__setattr__`,
-    and its `__reduce__` goes back through `__init__`, so unpickling
-    validates again.
+    A subclass stores each field in `__init__` with `object.__setattr__`.
+    Value semantics belong to `Record`; a bare `Frozen` compares and
+    hashes by identity.
     """
 
     __slots__ = ()
@@ -35,25 +36,33 @@ class Record(Frozen):
     """Immutable record over the `__slots__` of its class, in slot order.
 
     Compared (with records of the same class only), hashed, shown as
-    `Name(field=value, ...)` and pickled by its fields. A subclass validates
-    in `__init__` and stores each field with `object.__setattr__`.
+    `Name(field=value, ...)` and pickled by its fields; unpickling goes
+    back through `__init__`, so it validates again. A field held as a
+    read-only `MappingProxyType` view compares as its mapping, is shown
+    and pickled as a dict, and hashes as the frozenset of its items. A
+    subclass validates in `__init__` and stores each field with
+    `object.__setattr__`.
     """
 
     __slots__ = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        """The fields in slot order, each read-only mapping view as a dict."""
+        values = (getattr(self, name) for name in self.__slots__)
+        return tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
 
     def __eq__(self, other: object):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(tuple(
+            frozenset(v.items()) if type(v) is dict else v for v in self._values()
+        ))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
-from .common import Frozen, format_poly
+from .common import Record, format_poly
 from .errors import NonGenericError, as_int, as_size
 from .partitions import Partition, as_partition, enumerate_partitions
 
@@ -91,7 +91,7 @@ def cell_dimension(weights: Iterable[CharVector], rho: CharVector) -> int:
     return dim
 
 
-class PoincarePoly(Frozen):
+class PoincarePoly(Record):
     """Even-degree polynomial in q with non-negative integer coefficients.
 
     `coeffs` is a read-only {degree: coefficient} view.
@@ -114,9 +114,6 @@ class PoincarePoly(Frozen):
                 clean[d] = c
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
-    def __reduce__(self):
-        return (PoincarePoly, (dict(self.coeffs),))
-
     @classmethod
     def from_cell_dims(cls, dims: Iterable[int]) -> "PoincarePoly":
         coeffs: dict[int, int] = {}
@@ -133,12 +130,6 @@ class PoincarePoly(Frozen):
 
     def evaluate(self, x: int = 1) -> int:
         return sum(c * x**d for d, c in self.coeffs.items())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PoincarePoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
 
     def __repr__(self) -> str:
         return f"PoincarePoly({dict(self.coeffs)!r})"

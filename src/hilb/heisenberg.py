@@ -19,7 +19,8 @@ multiplying a row by t^m u^(2k) is one shift and adding rows is one
 integer addition; no slot ever carries into the next (_slot_bits proves
 the width), and one unpacker builds the validated GradedSeries.
 
-Fock states are immutable, with a read-only `terms` view. Annihilation operators act as derivations with
+Fock states are immutable, with a read-only `terms` view. Annihilation
+operators act as derivations with
 
     [a_m(alpha), a_{-k}(beta)] = delta_{mk} * c_m * <alpha, beta> * id,
 
@@ -40,7 +41,7 @@ from bisect import bisect
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
-from .common import Frozen, IntersectionLattice, format_poly
+from .common import Frozen, IntersectionLattice, Record, format_poly
 from .errors import as_int, as_size
 
 
@@ -129,7 +130,7 @@ def k3_surface() -> SurfaceModel:
     return SurfaceModel((1, 0, 22, 0, 1))
 
 
-class GradedSeries(Frozen):
+class GradedSeries(Record):
     """Truncated bigraded series: integer coefficients on (t-degree, u-degree).
 
     Truncation is in the t-degree; u-degrees are even and bounded by 4n
@@ -157,9 +158,6 @@ class GradedSeries(Frozen):
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
-    def __reduce__(self):
-        return (GradedSeries, (self.truncation, dict(self.coeffs)))
-
     def t_slice(self, n: int) -> dict[int, int]:
         """Coefficients of t^n as a {u-degree: coefficient} map."""
         n = as_size(n, 0, "t-degree")
@@ -173,13 +171,6 @@ class GradedSeries(Frozen):
 
     def slice_str(self, n: int, var: str = "u") -> str:
         return format_poly(self.t_slice(n), var)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GradedSeries)
-            and self.truncation == other.truncation
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self) -> str:
         return f"GradedSeries(truncation={self.truncation}, terms={len(self.coeffs)})"
@@ -274,7 +265,7 @@ def fock_character(surface: SurfaceModel, truncation: int) -> GradedSeries:
 FockMonomial = tuple[tuple[int, str], ...]
 
 
-class FockState(Frozen):
+class FockState(Record):
     """Integer linear combination of commuting creation monomials.
 
     Invariant: `terms` maps sorted monomials to non-zero integer
@@ -320,9 +311,6 @@ class FockState(Frozen):
         object.__setattr__(state, "terms", MappingProxyType(terms))
         return state
 
-    def __reduce__(self):
-        return (FockState, (self.surface, dict(self.terms)))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -330,13 +318,6 @@ class FockState(Frozen):
         t = sum(level for level, _ in mono)
         u = sum(2 * level - 2 + self.surface.degree(label) for level, label in mono)
         return (t, u)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FockState)
-            and self.surface is other.surface
-            and self.terms == other.terms
-        )
 
     def _plus(self, other: "FockState", sign: int) -> "FockState":
         merged = _merged(self.terms, other.terms, sign)

@@ -33,6 +33,7 @@ class NestedPair(Record):
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: Partition, upper: Partition):
+        lower, upper = as_partition(lower), as_partition(upper)
         if sum(upper) != sum(lower) + 1 or not upper.contains(lower):
             raise ValueError(f"not nested with one extra box: {lower} -> {upper}")
         object.__setattr__(self, "lower", lower)
@@ -99,7 +100,7 @@ class StrataBoundTable(Record):
     never encoded as 0 or a sentinel number. Propagated bounds may be
     vacuous for strata that happen to be empty; that is harmless, the
     bound still holds. `bounds` is a read-only copy of the caller's
-    mapping, shown and pickled as a dict.
+    mapping.
     """
 
     __slots__ = ("n", "bounds")
@@ -108,7 +109,7 @@ class StrataBoundTable(Record):
         n = as_size(n, 1, "table size")
         bounds = dict(bounds)
         for i, b in bounds.items():
-            if i < 1 or not isinstance(i, int):
+            if not isinstance(i, int) or i < 1:
                 raise ValueError(f"malformed table: bad index {i}")
             if not isinstance(b, int) or b < 0:
                 raise ValueError(f"malformed table: bad bound {b} at i={i}")
@@ -119,12 +120,6 @@ class StrataBoundTable(Record):
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bounds", MappingProxyType(bounds))
-
-    def __reduce__(self):
-        return (StrataBoundTable, (self.n, dict(self.bounds)))
-
-    def __repr__(self) -> str:
-        return f"StrataBoundTable(n={self.n}, bounds={dict(self.bounds)!r})"
 
     @property
     def ambient_dim(self) -> int:

@@ -80,6 +80,7 @@ class NakajimaSequence(Record):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]):
+        values = tuple(values)
         if not values:
             raise ValueError("empty sequence")
         if values[0] != 1:

@@ -26,6 +26,10 @@ def test_nested_pair_validation():
         NestedPair(Partition((2,)), Partition((1, 1)))  # not contained
     with pytest.raises(ValueError):
         NestedPair(Partition((1,)), Partition((3,)))  # sizes differ by 2
+    # parts are coerced like every other partition input
+    pair = NestedPair((1,), (2,))
+    assert (type(pair.lower), type(pair.upper)) == (Partition, Partition)
+    assert pair == NestedPair(Partition((1,)), Partition((2,)))
 
 
 def test_nested_pairs_frozen():
@@ -115,6 +119,8 @@ def test_strata_table_validation():
         StrataBoundTable(1, {2: 2})  # missing the open stratum
     with pytest.raises(ValueError):
         StrataBoundTable(1, {1: 4, 0: 1})
+    with pytest.raises(ValueError, match="^malformed table: bad index a$"):
+        StrataBoundTable(1, {"a": 1, 1: 4})  # the type is tested before the order
 
 
 def test_strata_tables_keep_their_own_bounds():

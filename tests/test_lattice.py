@@ -127,6 +127,11 @@ def test_sequence_validation():
         NakajimaSequence((1, 2))  # wrong sign
     with pytest.raises(ConsistencyError):
         NakajimaSequence((1, -3))  # wrong magnitude
+    # any iterable is kept as a tuple, so the record stays hashable
+    for given in ([1, -2], iter([1, -2])):
+        seq = NakajimaSequence(given)
+        assert seq == NakajimaSequence((1, -2)) and hash(seq) == hash(NakajimaSequence((1, -2)))
+        assert repr(seq) == "NakajimaSequence(values=(1, -2))"
 
 
 coords3 = st.tuples(

@@ -3,6 +3,7 @@ each subcommand loads and prints as a process."""
 
 import hashlib
 import importlib
+import io
 import json
 import os
 import pickle
@@ -121,6 +122,28 @@ def test_leaf_reexport_loads_only_its_module(name, loaded):
     assert (set(proc.stdout.split()), proc.stderr) == (loaded, "")
 
 
+def pickled(record):
+    """record through a pickle round trip that passes each SurfaceModel by
+    reference: surfaces compare by identity, so a copied one never matches."""
+    surfaces = []
+
+    class Out(pickle.Pickler):
+        def persistent_id(self, obj):
+            if type(obj) is hilb.SurfaceModel:
+                surfaces.append(obj)
+                return len(surfaces) - 1
+            return None
+
+    class In(pickle.Unpickler):
+        def persistent_load(self, pid):
+            return surfaces[pid]
+
+    buffer = io.BytesIO()
+    Out(buffer).dump(record)
+    buffer.seek(0)
+    return In(buffer).load()
+
+
 @pytest.mark.parametrize(
     "record, shown",
     [
@@ -132,6 +155,9 @@ def test_leaf_reexport_loads_only_its_module(name, loaded):
         (hilb.DivisorClass((1, -2)), "DivisorClass(coords=(1, -2))"),
         (hilb.NakajimaSequence((1, -2)), "NakajimaSequence(values=(1, -2))"),
         (hilb.p2_lattice(), "IntersectionLattice(gram=((1,),), labels=('H',))"),
+        (hilb.poincare_affine(2), "PoincarePoly({0: 1, 2: 1})"),
+        (hilb.goettsche_series(hilb.p2_surface(), 2), "GradedSeries(truncation=2, terms=9)"),
+        (hilb.vacuum(hilb.p2_surface()), "FockState(1*vac)"),
     ],
 )
 def test_validated_records_are_frozen_values(record, shown):
@@ -141,9 +167,38 @@ def test_validated_records_are_frozen_values(record, shown):
         setattr(record, field, None)
     with pytest.raises(AttributeError, match="is immutable"):
         delattr(record, field)
-    copy = pickle.loads(pickle.dumps(record))
+    copy = pickled(record)
     assert copy == record and copy is not record
+    assert hash(copy) == hash(record)
     assert record != tuple(getattr(record, name) for name in type(record).__slots__)
+
+
+def test_value_semantics_live_in_record_only():
+    # a new value type subclasses Record and brings no copy of its own;
+    # SurfaceModel compares by identity and IntersectionLattice pickles and
+    # hashes by its sparse entries, not by the dense Gram its __init__ takes
+    for layer in LAYERS:
+        importlib.import_module(f"hilb.{layer}")
+    Frozen, Record = hilb.common.Frozen, hilb.common.Record
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("hilb."):
+                found.add(sub)
+                todo.append(sub)
+    found.discard(Record)
+    assert {c.__name__ for c in found if not issubclass(c, Record)} == {"SurfaceModel"}
+    own = {
+        (c.__name__, name)
+        for c in found
+        for name in ("__eq__", "__hash__", "__reduce__")
+        if name in vars(c)
+    }
+    assert own == {
+        ("SurfaceModel", "__reduce__"),
+        ("IntersectionLattice", "__hash__"),
+        ("IntersectionLattice", "__reduce__"),
+    }
 
 
 # One cli-oneshot golden per subcommand that has one, spread over the three formats.
