@@ -179,6 +179,63 @@ def _arm_legs(lam: Partition) -> list[tuple[int, int]]:
     return [(p - c - 1, cols[c] - r - 1) for r, p in enumerate(lam) for c in range(p)]
 
 
+class _HookLists(NamedTuple):
+    """The rho-free part of a space's cell tables at size n."""
+
+    n: int
+    charts: tuple[tuple[CharVector, CharVector], ...]
+    partitions: dict[int, list[Partition]]  # chart size -> its partitions
+    hooks: dict[int, list[list[tuple[int, int]]]]  # chart size -> their (arm, leg) lists
+    pairs: set[tuple[int, int]]  # every distinct (arm, leg) pair
+
+
+def _hook_lists(space: str, n: int) -> _HookLists:
+    """The partitions of every chart size and their (arm, leg) lists, built once."""
+    n = as_size(n, 0, "length")
+    if space == "affine":
+        charts, sizes = (AFFINE_CHART,), (n,)
+    elif space == "p2":
+        charts, sizes = P2_CHART_WEIGHTS, range(n, -1, -1)
+    else:
+        raise ValueError(f"no cell tables for space {space!r}")
+    lams = {s: enumerate_partitions(s) for s in sizes}
+    hooks = {s: [_arm_legs(lam) for lam in ls] for s, ls in lams.items()}
+    pairs = {h for hl in hooks.values() for hs in hl for h in hs}
+    return _HookLists(n, charts, lams, hooks, pairs)
+
+
+def _cell_tables_at(
+    shape: _HookLists, rho: Optional[CharVector]
+) -> tuple[CharVector, list[CellTable]]:
+    """cell_tables for one rho over hook lists that _hook_lists built."""
+    rho = default_rho(shape.n) if rho is None else _character(rho, "rho")
+    if shape.n == 0 and rho == (0, 0):
+        # no weight to name; at n > 0 the wall scan below names the first
+        raise NonGenericError(
+            "non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with every weight"
+        )
+    tables = []
+    for u, v in shape.charts:
+        pu, pv = rho.a * u.a + rho.b * u.b, rho.a * v.a + rho.b * v.b
+        pairings = {
+            (a, l): ((a + 1) * pu - l * pv, (l + 1) * pv - a * pu) for a, l in shape.pairs
+        }
+        if not all(p1 and p2 for p1, p2 in pairings.values()):
+            # rho is on a wall: cell_dimension raises at its first zero weight
+            for ls in shape.partitions.values():
+                for lam in ls:
+                    cell_dimension(tangent_weights(lam, u, v), rho)
+        neg = {h: (p1 < 0) + (p2 < 0) for h, (p1, p2) in pairings.items()}
+        table: CellTable = {}
+        for s, hl in shape.hooks.items():
+            counts = table[s] = {}
+            for hs in hl:
+                d = sum(map(neg.__getitem__, hs))
+                counts[d] = counts.get(d, 0) + 1
+        tables.append(table)
+    return rho, tables
+
+
 def cell_tables(
     space: str, n: int, rho: Optional[CharVector] = None
 ) -> tuple[CharVector, list[CellTable]]:
@@ -195,41 +252,12 @@ def cell_tables(
     Only a rho on a wall builds weight vectors: cell_dimension over
     tangent_weights, in chart, size and partition order, raises
     NonGenericError naming the first zero weight.
+
+    The hook lists do not depend on rho: _hook_lists builds them and
+    _cell_tables_at pairs them with one rho, so a caller that tries
+    several subgroups at one size builds them once.
     """
-    n = as_size(n, 0, "length")
-    if space == "affine":
-        charts, sizes = (AFFINE_CHART,), (n,)
-    elif space == "p2":
-        charts, sizes = P2_CHART_WEIGHTS, range(n, -1, -1)
-    else:
-        raise ValueError(f"no cell tables for space {space!r}")
-    lams = {s: enumerate_partitions(s) for s in sizes}
-    hooks = {s: [_arm_legs(lam) for lam in ls] for s, ls in lams.items()}
-    pairs = {h for hl in hooks.values() for hs in hl for h in hs}
-    rho = default_rho(n) if rho is None else _character(rho, "rho")
-    if n == 0 and rho == (0, 0):
-        # no weight to name; at n > 0 the wall scan below names the first
-        raise NonGenericError(
-            "non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with every weight"
-        )
-    tables = []
-    for u, v in charts:
-        pu, pv = rho.a * u.a + rho.b * u.b, rho.a * v.a + rho.b * v.b
-        pairings = {(a, l): ((a + 1) * pu - l * pv, (l + 1) * pv - a * pu) for a, l in pairs}
-        if not all(p1 and p2 for p1, p2 in pairings.values()):
-            # rho is on a wall: cell_dimension raises at its first zero weight
-            for ls in lams.values():
-                for lam in ls:
-                    cell_dimension(tangent_weights(lam, u, v), rho)
-        neg = {h: (p1 < 0) + (p2 < 0) for h, (p1, p2) in pairings.items()}
-        table: CellTable = {}
-        for s, hl in hooks.items():
-            counts = table[s] = {}
-            for hs in hl:
-                d = sum(map(neg.__getitem__, hs))
-                counts[d] = counts.get(d, 0) + 1
-        tables.append(table)
-    return rho, tables
+    return _cell_tables_at(_hook_lists(space, n), rho)
 
 
 def poincare_from_tables(tables: list[CellTable], n: int) -> PoincarePoly:

@@ -68,9 +68,14 @@ class StaircaseIdeal(NamedTuple):
     generators: tuple[Monomial, ...]
 
     def contains(self, m: Monomial) -> bool:
-        """Membership: the monomial lies outside the diagram."""
+        """Membership: the monomial lies outside the diagram.
+
+        Both exponents go through errors.as_size with least 0.
+        """
+        x = as_size(m.xexp, 0, "x exponent")
+        y = as_size(m.yexp, 0, "y exponent")
         parts = self.shape
-        return m.yexp >= len(parts) or m.xexp >= parts[m.yexp]
+        return y >= len(parts) or x >= parts[y]
 
     def quotient_basis(self) -> list[Monomial]:
         """Monomials inside the diagram, row-major."""
@@ -171,15 +176,32 @@ class HilbertBurchMatrix(NamedTuple):
         i = as_size(i, 0, "row index")
         if i >= self.rows:
             raise ValueError(f"row index out of range: {i}")
-        out = Term(1, Monomial(0, 0))
-        for j in range(i):
-            out = out.times(self.entries[j][j])
-        for j in range(i, self.cols):
-            out = out.times(self.entries[j + 1][j])
-        return out
+        return self.maximal_minors()[i]
 
     def maximal_minors(self) -> tuple[Term, ...]:
-        return tuple(self.minor(i) for i in range(self.rows))
+        """minor(i) for every row i, in O(g) for g rows.
+
+        Minor i is the prefix product of the diagonal before i times the
+        suffix product of the subdiagonal from i on. Each product is kept
+        as its coefficient and two exponents, plain ints, and one Term is
+        built per minor.
+        """
+        e, cols = self.entries, self.cols
+        c, x, y = 1, 0, 0
+        suffix = [(c, x, y)]
+        for j in range(cols - 1, -1, -1):
+            tc, (tx, ty) = e[j + 1][j]
+            c, x, y = c * tc, x + tx, y + ty
+            suffix.append((c, x, y))
+        suffix.reverse()  # suffix[i] = product of the subdiagonal entries j >= i
+        out = []
+        c, x, y = 1, 0, 0
+        for i, (sc, sx, sy) in enumerate(suffix):
+            out.append(Term(c * sc, Monomial(x + sx, y + sy)))
+            if i < cols:
+                tc, (tx, ty) = e[i][i]
+                c, x, y = c * tc, x + tx, y + ty
+        return tuple(out)
 
     def matches_generators(self) -> bool:
         """Every maximal minor equals its row's generator up to sign."""

@@ -15,8 +15,11 @@ from .equivariant import (
     AFFINE_CHART,
     CharVector,
     PoincarePoly,
+    _cell_tables_at,
+    _hook_lists,
     fixed_points_p2,
     poincare_affine,
+    poincare_from_tables,
     poincare_p2,
     poincare_punctual,
     tangent_weights,
@@ -49,7 +52,7 @@ from .lattice import (
     rank_zero_lattice,
 )
 from .monomial import generator_count, hilbert_burch, socle_count, staircase
-from .partitions import enumerate_partitions, pentagonal_partition_count
+from .partitions import Partition, enumerate_partitions, pentagonal_partition_count
 
 
 class CheckResult(NamedTuple):
@@ -126,20 +129,41 @@ def check_conjugate_involution(top: int) -> str:
     return "transpose is an involution"
 
 
+class _BuiltOnce(dict):
+    """{partition: build(partition)}, each entry built at its first read."""
+
+    def __init__(self, build: Callable[[Partition], list[Partition]]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, lam: Partition) -> list[Partition]:
+        self[lam] = out = self.build(lam)
+        return out
+
+
 @_check("cover-duality", "n<={top}", top=lambda nmax: min(nmax, 20))
 def check_cover_duality(top: int) -> str:
-    """covers/cocovers adjunction plus the distinct-part count formulas."""
+    """covers/cocovers adjunction plus the distinct-part count formulas.
+
+    Each partition's covers and cocovers are built once, and only three
+    sizes are held: covers at n - 1 and n, cocovers at n and n + 1.
+    """
+    covers_below, covers_here = {}, _BuiltOnce(Partition.covers)
+    cocovers_here = _BuiltOnce(Partition.cocovers)
     for n in range(top + 1):
+        cocovers_above = _BuiltOnce(Partition.cocovers)
         for lam in enumerate_partitions(n):
-            ups = lam.covers()
+            ups = covers_here[lam]
             _expect(len(ups) == lam.distinct_part_count() + 1, "cover count at {}", lam)
             for mu in ups:
-                _expect(lam in mu.cocovers(), "{} missing under {}", lam, mu)
+                _expect(lam in cocovers_above[mu], "{} missing under {}", lam, mu)
             if lam:
-                downs = lam.cocovers()
+                downs = cocovers_here[lam]
                 _expect(len(downs) == lam.distinct_part_count(), "cocover count at {}", lam)
                 for nu in downs:
-                    _expect(lam in nu.covers(), "{} missing over {}", lam, nu)
+                    _expect(lam in covers_below[nu], "{} missing over {}", lam, nu)
+        covers_below, covers_here = covers_here, _BuiltOnce(Partition.covers)
+        cocovers_here = cocovers_above
     return "adjunction and counts hold"
 
 
@@ -220,16 +244,24 @@ def check_chamber_independence(top_a: int, top_p: int) -> str:
     """Same Poincare polynomials across three unrelated generic subgroups."""
     for n in range(top_a + 1):
         rhos = (CharVector(1, n + 2), CharVector(n + 2, 1), CharVector(2, 2 * n + 3))
-        base = poincare_affine(n, rhos[0])
-        for rho in rhos[1:]:
-            _expect(poincare_affine(n, rho) == base, "affine n={} rho={}", n, tuple(rho))
+        _expect_same_cells("affine", n, rhos)
     for n in range(top_p + 1):
         rhos = (CharVector(1, 2 * n * n + 3), CharVector(2 * n * n + 3, 1),
                 CharVector(2, 4 * n * n + 7))
-        base = poincare_p2(n, rhos[0])
-        for rho in rhos[1:]:
-            _expect(poincare_p2(n, rho) == base, "p2 n={} rho={}", n, tuple(rho))
+        _expect_same_cells("p2", n, rhos)
     return "polynomials agree in all chambers tried"
+
+
+def _expect_same_cells(space: str, n: int, rhos: tuple[CharVector, ...]) -> None:
+    """One Poincare polynomial for every rho.
+
+    The hook lists are built once; each rho gets its own pairing and wall scan.
+    """
+    hooks = _hook_lists(space, n)
+    base = poincare_from_tables(_cell_tables_at(hooks, rhos[0])[1], n)
+    for rho in rhos[1:]:
+        got = poincare_from_tables(_cell_tables_at(hooks, rho)[1], n)
+        _expect(got == base, "{} n={} rho={}", space, n, tuple(rho))
 
 
 @_check("punctual-cells", "n<={top}", top=lambda nmax: min(nmax, 25))

@@ -143,6 +143,22 @@ def test_hilbert_burch_hook_frozen(size_gate):
         mat.minor(3)
 
 
+def test_maximal_minors_match_row_by_row_products():
+    for n in range(1, 11):
+        for lam in enumerate_partitions(n):
+            mat = hilbert_burch(lam)
+            minors = mat.maximal_minors()
+            assert len(minors) == mat.rows
+            for i in range(mat.rows):
+                # reference: the diagonal above row i times the subdiagonal below it
+                want = Term(1, Monomial(0, 0))
+                for j in range(i):
+                    want = want.times(mat.entries[j][j])
+                for j in range(i, mat.cols):
+                    want = want.times(mat.entries[j + 1][j])
+                assert minors[i] == mat.minor(i) == want, (lam, i)
+
+
 def test_hilbert_burch_shape():
     for n in range(1, 13):
         for lam in enumerate_partitions(n):
@@ -170,3 +186,15 @@ def test_membership():
     assert ideal.contains(Monomial(4, 5))
     assert not ideal.contains(Monomial(0, 0))
     assert not ideal.contains(Monomial(2, 0))
+
+
+def test_membership_gates_exponents(size_gate):
+    ideal = staircase(Partition((2, 1)))
+    # a negative y exponent used to read a row from the end, or past it
+    for m in (Monomial(0, -1), Monomial(5, -3)):
+        with pytest.raises(ValueError, match=f"^y exponent must be at least 0, got {m.yexp}$"):
+            ideal.contains(m)
+    with pytest.raises(ValueError, match="^x exponent must be an integer, got 1.5$"):
+        ideal.contains(Monomial(1.5, 0))
+    size_gate(lambda x: ideal.contains(Monomial(x, 0)), "x exponent", 0)
+    size_gate(lambda y: ideal.contains(Monomial(0, y)), "y exponent", 0)

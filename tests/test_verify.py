@@ -6,10 +6,13 @@ import pytest
 
 from hilb import (
     CommutatorReport,
+    Partition,
     PoincarePoly,
+    StaircaseIdeal,
     cli,
     pentagonal_partition_count,
     poincare_affine,
+    staircase,
     verify,
 )
 from hilb.verify import ALL_CHECKS, run_checks
@@ -43,7 +46,11 @@ BROKEN = [
     ("nakajima", "nakajima_closed_form", lambda n: 0, "mismatch at n=1"),
     ("strata-bounds", "strata_propagate", lambda t: t, "step from n=1 misses the closed form"),
     ("partition-counts", "pentagonal_partition_count", lambda n: n + 7, "p(0): 1 != 7"),
-    ("chamber-independence", "poincare_affine", lambda n, rho: rho, "affine n=0 rho=(2, 1)"),
+    # one cell of dimension rho.a: the polynomial moves with the chamber
+    ("chamber-independence", "_cell_tables_at", lambda hooks, rho: (rho, [{0: {rho.a: 1}}]),
+     "affine n=0 rho=(2, 1)"),
+    ("hilbert-burch", "staircase", lambda lam: StaircaseIdeal(lam, staircase(lam).generators[1:]),
+     "failed at (1)"),
     ("punctual-cells", "poincare_punctual", lambda n: poincare_affine(n - 1), "count at n=2"),
     # right count and top cell, wrong cells in between
     ("punctual-cells", "poincare_punctual",
@@ -107,6 +114,14 @@ def test_broken_library_fails_its_check(monkeypatch, check, attr, fake, detail):
     monkeypatch.setattr(verify, attr, fake)
     [bad] = run_checks(4, [check])
     assert (bad.name, bad.scope, bad.passed, bad.detail) == (check, good.scope, False, detail)
+
+
+def test_broken_cocovers_fail_cover_duality(monkeypatch):
+    # the check reads every cocover list through Partition.cocovers
+    real = Partition.cocovers
+    monkeypatch.setattr(Partition, "cocovers", lambda lam: real(lam)[:-1])
+    [bad] = run_checks(4, ["cover-duality"])
+    assert (bad.scope, bad.passed, bad.detail) == ("n<=4", False, "() missing under (1)")
 
 
 @pytest.mark.parametrize(
