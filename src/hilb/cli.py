@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import ConsistencyError, NonGenericError
+from .errors import ConsistencyError, NonGenericError, as_size
 
 # Each handler imports the layers it runs, and _emit the json or csv
 # module it writes with, so one invocation loads only what it uses
@@ -36,9 +36,7 @@ def _int_list(raw: str, count: int, wanted: str) -> tuple[int, ...]:
 def cmd_partitions(args) -> tuple[dict, dict, int]:
     from .partitions import enumerate_partitions
 
-    if args.n < 0:
-        raise ValueError(f"--n must be non-negative, got {args.n}")
-    lams = enumerate_partitions(args.n)
+    lams = enumerate_partitions(as_size(args.n, 0, "--n"))
     rows = [[i, str(lam)] for i, lam in enumerate(lams)]
     payload = {"count": len(lams), "columns": ["index", "partition"], "rows": rows}
     return {"n": args.n}, payload, 0
@@ -47,9 +45,7 @@ def cmd_partitions(args) -> tuple[dict, dict, int]:
 def cmd_betti(args) -> tuple[dict, dict, int]:
     from .equivariant import CharVector, cell_tables, poincare_from_tables, poincare_punctual
 
-    n = args.n
-    if n < 0:
-        raise ValueError(f"--n must be non-negative, got {n}")
+    n = as_size(args.n, 0, "--n")
     params: dict = {"space": args.space, "n": n}
     if args.space == "punctual":
         if args.rho is not None:
@@ -106,8 +102,7 @@ def _incidence_row(n: int, columns: list[str]) -> list:
 
 
 def cmd_incidence(args) -> tuple[dict, dict, int]:
-    if args.n < 0:
-        raise ValueError(f"--n must be non-negative, got {args.n}")
+    as_size(args.n, 0, "--n")
     columns = _INCIDENCE_COLUMNS[args.check]
     rows = [_incidence_row(n, columns) for n in range(args.n + 1)]
     all_ok = all(r[-1] for r in rows)
@@ -118,9 +113,7 @@ def cmd_incidence(args) -> tuple[dict, dict, int]:
 def cmd_strata(args) -> tuple[dict, dict, int]:
     from .incidence import check_codim_hypotheses, strata_table
 
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
-    t = strata_table(args.n)
+    t = strata_table(as_size(args.n, 1, "--n"))
     report = check_codim_hypotheses(t)
     rows: list[list] = [
         [1, t.bound(1), t.ambient_dim, 0, "-", "pinned"],
@@ -152,8 +145,7 @@ def cmd_strata(args) -> tuple[dict, dict, int]:
 def cmd_nakajima(args) -> tuple[dict, dict, int]:
     from .lattice import nakajima_closed_form, nakajima_recurrence
 
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
+    as_size(args.n, 1, "--n")
     params = {"n": args.n, "method": args.method}
     ns = range(1, args.n + 1)
     table: dict = {"n": list(ns)}
@@ -173,8 +165,7 @@ def cmd_nakajima(args) -> tuple[dict, dict, int]:
 def cmd_lattice(args) -> tuple[dict, dict, int]:
     from .lattice import blow_up, exceptional_total_square, p2_lattice
 
-    if args.blowup < 0:
-        raise ValueError(f"--blowup must be non-negative, got {args.blowup}")
+    as_size(args.blowup, 0, "--blowup")
     params = {"blowup": args.blowup, "base": "p2"}
     if args.square_exceptional:
         if args.blowup < 1:
@@ -201,8 +192,7 @@ def cmd_goettsche(args) -> tuple[dict, dict, int]:
     from .heisenberg import SurfaceModel, goettsche_series
 
     betti = _int_list(args.betti, 5, "--betti wants five")
-    if args.torder < 0:
-        raise ValueError(f"--torder must be non-negative, got {args.torder}")
+    as_size(args.torder, 0, "--torder")
     surface = SurfaceModel(betti)
     series = goettsche_series(surface, args.torder)
     params = {"betti": list(betti), "torder": args.torder}

@@ -15,12 +15,18 @@ from typing import Mapping
 from .errors import as_int
 
 
-class Frozen:
-    """Base of the immutable classes: assignment and deletion raise AttributeError.
+class Record:
+    """Immutable record over the `__slots__` of its class, in slot order.
 
-    A subclass stores each field in `__init__` with `object.__setattr__`.
-    Value semantics belong to `Record`; a bare `Frozen` compares and
-    hashes by identity.
+    The one base of hilb's value classes. A subclass validates in
+    `__init__` and stores each field with `object.__setattr__`; after
+    that, assignment and deletion raise AttributeError. Compared (with
+    records of the same class only), hashed, shown as
+    `Name(field=value, ...)` and pickled by its fields; unpickling goes
+    back through `__init__`, so it validates again. A field held as a
+    read-only `MappingProxyType` view compares as its mapping, is shown
+    and pickled as a dict, and hashes as the frozenset of its items; a
+    plain dict field hashes the same way.
     """
 
     __slots__ = ()
@@ -30,21 +36,6 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class Record(Frozen):
-    """Immutable record over the `__slots__` of its class, in slot order.
-
-    Compared (with records of the same class only), hashed, shown as
-    `Name(field=value, ...)` and pickled by its fields; unpickling goes
-    back through `__init__`, so it validates again. A field held as a
-    read-only `MappingProxyType` view compares as its mapping, is shown
-    and pickled as a dict, and hashes as the frozenset of its items. A
-    subclass validates in `__init__` and stores each field with
-    `object.__setattr__`.
-    """
-
-    __slots__ = ()
 
     def _values(self) -> tuple:
         """The fields in slot order, each read-only mapping view as a dict."""

@@ -41,19 +41,22 @@ from bisect import bisect
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
-from .common import Frozen, IntersectionLattice, Record, format_poly
+from .common import IntersectionLattice, Record, format_poly
 from .errors import as_int, as_size
 
 
-class SurfaceModel(Frozen):
+class SurfaceModel(Record):
     """Even-cohomology surface: Betti numbers plus the intersection pairing.
 
     The basis holds one class "1" in degree 0, the b2 classes of `h2` in
     degree 2, and one class "pt" in degree 4. The pairing couples "1" with
     "pt" with value 1 and degree-2 classes through `h2`, an
     IntersectionLattice of rank b2 (default: the identity form on
-    e1..e_b2, built in O(b2)); no other block is nonzero. Immutable, and
-    compared and hashed by identity.
+    e1..e_b2, built in O(b2)); no other block is nonzero. An immutable
+    value: two surfaces built from equal (betti, h2) are equal and hash
+    equal. `basis`, `_degrees` and `_pairing` are derived from them for
+    the Fock kernels' lookups, and pickling sends (betti, h2) back
+    through `__init__`.
     """
 
     __slots__ = ("betti", "h2", "basis", "_degrees", "_pairing")

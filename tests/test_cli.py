@@ -291,14 +291,24 @@ def test_verify_requires_all_flag(capsys):
 
 
 def test_exit_code_2_on_bad_values(capsys):
-    assert run(capsys, ["nakajima", "--n", "0"])[0] == 2
-    assert run(capsys, ["partitions", "--n", "-1"])[0] == 2
-    assert run(capsys, ["strata", "--n", "0"])[0] == 2
-    assert run(capsys, ["betti", "--space", "affine", "--n", "2", "--rho", "zap"])[0] == 2
-    assert run(capsys, ["goettsche", "--betti", "1,0,1", "--torder", "2"])[0] == 2
-    assert (
-        run(capsys, ["lattice", "--blowup", "0", "--square-exceptional"])[0] == 2
-    )
+    # every size gate goes through errors.as_size, and each refusal is one line
+    refusals = [
+        ("partitions --n -1", "--n must be at least 0, got -1"),
+        ("betti --space affine --n -1", "--n must be at least 0, got -1"),
+        ("incidence --n -1", "--n must be at least 0, got -1"),
+        ("strata --n 0", "--n must be at least 1, got 0"),
+        ("nakajima --n 0", "--n must be at least 1, got 0"),
+        ("lattice --blowup -1", "--blowup must be at least 0, got -1"),
+        ("goettsche --betti 1,0,1,0,1 --torder -1", "--torder must be at least 0, got -1"),
+        ("betti --space affine --n 2 --rho zap",
+         "--rho wants two comma-separated integers, got 'zap'"),
+        ("goettsche --betti 1,0,1 --torder 2",
+         "--betti wants five comma-separated integers, got '1,0,1'"),
+        ("lattice --blowup 0 --square-exceptional",
+         "--square-exceptional needs at least one blown-up point"),
+    ]
+    for argv, message in refusals:
+        assert run(capsys, argv.split()) == (2, "", f"error: {message}\n"), argv
 
 
 def test_unknown_flags_exit_2(capsys):

@@ -120,13 +120,14 @@ def test_surface_model_is_immutable():
             delattr(surface, field)
     # the two routes of the fock-character check read the one surface
     assert fock_character(surface, 3) == goettsche_series(surface, 3)
-    # unpickling goes back through __init__; surfaces compare by identity
+    # unpickling goes back through __init__; surfaces compare by value
     copy = pickle.loads(pickle.dumps(SKEW))
     assert (copy.betti, copy.h2, copy.basis) == (SKEW.betti, SKEW.h2, SKEW.basis)
     assert [copy.pair(a, b) for a in copy.labels() for b in copy.labels()] == [
         SKEW.pair(a, b) for a in SKEW.labels() for b in SKEW.labels()
     ]
-    assert copy != SKEW and len({copy, SKEW}) == 2
+    assert copy == SKEW and copy is not SKEW and len({copy, SKEW}) == 1
+    assert SKEW != p2_surface() and SKEW != DENSE
     assert repr(copy) == "SurfaceModel(betti=(1, 0, 2, 0, 1))"
 
 
@@ -280,6 +281,23 @@ def test_fock_states_are_immutable():
     # unpickling goes back through __init__, onto a copy of the surface
     copy = pickle.loads(pickle.dumps(one))
     assert copy.terms == one.terms and repr(copy) == "FockState(1*a[-1](pt))"
+
+
+@pytest.mark.parametrize("surface", [P2, K3, SKEW, DENSE], ids=["p2", "k3", "skew", "dense"])
+def test_pickled_fock_state_is_an_equal_value(surface):
+    # the copy lives on an equal but distinct surface, so it is equal and
+    # hashes equal, and the operators take it as a state of the original
+    label = surface.labels()[1]
+    state = 3 * create(create(vacuum(surface), 2, label), 1, "pt") - vacuum(surface)
+    copy = pickle.loads(pickle.dumps(state))
+    assert copy.surface == surface and copy.surface is not surface
+    assert copy == state and hash(copy) == hash(state) and len({copy, state}) == 1
+    assert (copy - state).is_zero() and (state + copy) == 2 * state
+    # the same terms on a surface with the opposite form are another value
+    opposite = IntersectionLattice.from_entries(
+        {ij: -x for ij, x in surface.h2.entries().items()}, surface.h2.labels
+    )
+    assert state != FockState(SurfaceModel(surface.betti, opposite), state.terms)
 
 
 @st.composite

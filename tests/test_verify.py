@@ -10,6 +10,7 @@ from hilb import (
     PoincarePoly,
     StaircaseIdeal,
     cli,
+    hilbert_burch,
     pentagonal_partition_count,
     poincare_affine,
     staircase,
@@ -29,8 +30,19 @@ CAP_ROWS = [
     ("affine-closed-form", 12, "n<=12"),
 ]
 
+
+def doubled_corner(lam):
+    """hilbert_burch(lam) with the coefficient of its (0, 0) entry doubled:
+    every minor keeps its monomial, and the minors through that entry get
+    the coefficient +-2."""
+    m = hilbert_burch(lam)
+    (corner, *row), *rows = m.entries
+    return m._replace(entries=((corner._replace(coeff=2 * corner.coeff), *row), *rows))
+
+
 # A wrong stand-in for one library function, seen from hilb.verify, and the
-# counterexample the check must then report.
+# counterexample the check must then report. A row is named by its check,
+# or by the id of its pytest.param.
 BROKEN = [
     ("exceptional-square", "exceptional_total_square", lambda n, base: 0,
      "base rank 0, n=1: 0"),
@@ -51,6 +63,9 @@ BROKEN = [
      "affine n=0 rho=(2, 1)"),
     ("hilbert-burch", "staircase", lambda lam: StaircaseIdeal(lam, staircase(lam).generators[1:]),
      "failed at (1)"),
+    # only the row-by-row sign test sees it
+    pytest.param("hilbert-burch", "hilbert_burch", doubled_corner, "failed at (1)",
+                 id="hilbert-burch-sign"),
     ("punctual-cells", "poincare_punctual", lambda n: poincare_affine(n - 1), "count at n=2"),
     # right count and top cell, wrong cells in between
     ("punctual-cells", "poincare_punctual",
@@ -106,7 +121,8 @@ def test_run_checks_rejects_bad_arguments(size_gate):
 
 
 @pytest.mark.parametrize(
-    "check, attr, fake, detail", BROKEN, ids=[row[0] for row in BROKEN]
+    "check, attr, fake, detail", BROKEN,
+    ids=[getattr(row, "id", None) or row[0] for row in BROKEN],
 )
 def test_broken_library_fails_its_check(monkeypatch, check, attr, fake, detail):
     [good] = run_checks(4, [check])
