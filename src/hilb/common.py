@@ -16,20 +16,29 @@ from .errors import as_int
 
 
 class Record:
-    """Immutable record over the `__slots__` of its class, in slot order.
+    """Immutable record over the defining fields of its class, in order.
 
     The one base of hilb's value classes. A subclass validates in
-    `__init__` and stores each field with `object.__setattr__`; after
-    that, assignment and deletion raise AttributeError. Compared (with
+    `__init__` and stores each slot with `object.__setattr__`; after
+    that, assignment and deletion raise AttributeError. Its defining
+    fields are the class attribute `_fields`, by default its
+    `__slots__`; a class whose other slots are derived from them names
+    only those, which are its `__init__` arguments. Compared (with
     records of the same class only), hashed, shown as
-    `Name(field=value, ...)` and pickled by its fields; unpickling goes
-    back through `__init__`, so it validates again. A field held as a
-    read-only `MappingProxyType` view compares as its mapping, is shown
-    and pickled as a dict, and hashes as the frozenset of its items; a
-    plain dict field hashes the same way.
+    `Name(field=value, ...)` and pickled by its defining fields;
+    unpickling goes back through `__init__`, so it validates again. A
+    field held as a read-only `MappingProxyType` view compares as its
+    mapping, is shown and pickled as a dict, and hashes as the frozenset
+    of its items; a plain dict field hashes the same way.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in vars(cls):
+            cls._fields = cls.__slots__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -38,14 +47,14 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _values(self) -> tuple:
-        """The fields in slot order, each read-only mapping view as a dict."""
-        values = (getattr(self, name) for name in self.__slots__)
+        """The defining fields in order, each read-only mapping view as a dict."""
+        values = (getattr(self, name) for name in self._fields)
         return tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
 
     def __eq__(self, other: object):
         if type(other) is not type(self):
             return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+        return all(getattr(self, n) == getattr(other, n) for n in self._fields)
 
     def __hash__(self) -> int:
         return hash(tuple(
@@ -53,7 +62,7 @@ class Record:
         ))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

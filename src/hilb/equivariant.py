@@ -173,24 +173,30 @@ def default_rho(n: int) -> CharVector:
 CellTable = dict[int, dict[int, int]]
 
 
-def _arm_legs(lam: Partition) -> list[tuple[int, int]]:
-    """(arm, leg) of every box of lam, row-major; legs read off the conjugate."""
+def _arm_legs(lam: Partition, width: int) -> list[int]:
+    """arm * width + leg of every box of lam, row-major; legs read off the conjugate."""
     cols = lam.column_lengths()
-    return [(p - c - 1, cols[c] - r - 1) for r, p in enumerate(lam) for c in range(p)]
+    return [
+        (p - c - 1) * width + cols[c] - r - 1 for r, p in enumerate(lam) for c in range(p)
+    ]
 
 
 class _HookLists(NamedTuple):
-    """The rho-free part of a space's cell tables at size n."""
+    """The rho-free part of a space's cell tables at size n.
+
+    A box's (arm, leg) is coded as the int arm * width + leg, width = n + 1:
+    no arm or leg of a partition of size at most n exceeds n - 1.
+    """
 
     n: int
     charts: tuple[tuple[CharVector, CharVector], ...]
     partitions: dict[int, list[Partition]]  # chart size -> its partitions
-    hooks: dict[int, list[list[tuple[int, int]]]]  # chart size -> their (arm, leg) lists
-    pairs: set[tuple[int, int]]  # every distinct (arm, leg) pair
+    hooks: dict[int, list[list[int]]]  # chart size -> their coded (arm, leg) lists
+    pairs: set[int]  # every distinct coded (arm, leg) pair
 
 
 def _hook_lists(space: str, n: int) -> _HookLists:
-    """The partitions of every chart size and their (arm, leg) lists, built once."""
+    """The partitions of every chart size and their coded (arm, leg) lists, built once."""
     n = as_size(n, 0, "length")
     if space == "affine":
         charts, sizes = (AFFINE_CHART,), (n,)
@@ -199,7 +205,7 @@ def _hook_lists(space: str, n: int) -> _HookLists:
     else:
         raise ValueError(f"no cell tables for space {space!r}")
     lams = {s: enumerate_partitions(s) for s in sizes}
-    hooks = {s: [_arm_legs(lam) for lam in ls] for s, ls in lams.items()}
+    hooks = {s: [_arm_legs(lam, n + 1) for lam in ls] for s, ls in lams.items()}
     pairs = {h for hl in hooks.values() for hs in hl for h in hs}
     return _HookLists(n, charts, lams, hooks, pairs)
 
@@ -214,18 +220,22 @@ def _cell_tables_at(
         raise NonGenericError(
             "non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with every weight"
         )
+    width = shape.n + 1
     tables = []
     for u, v in shape.charts:
         pu, pv = rho.a * u.a + rho.b * u.b, rho.a * v.a + rho.b * v.b
-        pairings = {
-            (a, l): ((a + 1) * pu - l * pv, (l + 1) * pv - a * pu) for a, l in shape.pairs
-        }
-        if not all(p1 and p2 for p1, p2 in pairings.values()):
+        neg = [0] * (width * width)  # coded (arm, leg) -> its negative weights
+        on_wall = False
+        for h in shape.pairs:
+            a, l = divmod(h, width)
+            p1, p2 = (a + 1) * pu - l * pv, (l + 1) * pv - a * pu
+            on_wall = on_wall or not (p1 and p2)
+            neg[h] = (p1 < 0) + (p2 < 0)
+        if on_wall:
             # rho is on a wall: cell_dimension raises at its first zero weight
             for ls in shape.partitions.values():
                 for lam in ls:
                     cell_dimension(tangent_weights(lam, u, v), rho)
-        neg = {h: (p1 < 0) + (p2 < 0) for h, (p1, p2) in pairings.items()}
         table: CellTable = {}
         for s, hl in shape.hooks.items():
             counts = table[s] = {}
@@ -244,10 +254,12 @@ def cell_tables(
     space "affine" has the single chart of the plane at size n; "p2" has
     the three charts of the projective plane at every size n..0, since a
     fixed point spreads n points over them. The (arm, leg) list of each
-    partition is computed once and shared by every chart. A chart pairs
-    rho with its characters u and v once, to pu and pv; the two weights
-    of a box then pair to (a+1)*pu - l*pv and (l+1)*pv - a*pu, worked out
-    once per distinct (arm, leg) pair. With rho omitted it is
+    partition is computed once, each pair coded as the int a*(n+1) + l,
+    and shared by every chart. A chart pairs rho with its characters u
+    and v once, to pu and pv; the two weights of a box then pair to
+    (a+1)*pu - l*pv and (l+1)*pv - a*pu, worked out once per distinct
+    (arm, leg) pair into a list of negative-weight counts indexed by its
+    code, so a cell dimension sums list entries. With rho omitted it is
     default_rho(n), wall-free by proof and still scanned like any other.
     Only a rho on a wall builds weight vectors: cell_dimension over
     tangent_weights, in chart, size and partition order, raises
@@ -298,15 +310,15 @@ def fixed_points_p2(n: int) -> list[tuple[Partition, Partition, Partition]]:
     summing to n, sizes enumerated in descending order chart by chart.
     """
     n = as_size(n, 0, "length")
-    out = []
-    for a in range(n, -1, -1):
-        for b in range(n - a, -1, -1):
-            c = n - a - b
-            for la in enumerate_partitions(a):
-                for lb in enumerate_partitions(b):
-                    for lc in enumerate_partitions(c):
-                        out.append((la, lb, lc))
-    return out
+    lams = [enumerate_partitions(s) for s in range(n + 1)]
+    return [
+        (la, lb, lc)
+        for a in range(n, -1, -1)
+        for b in range(n - a, -1, -1)
+        for la in lams[a]
+        for lb in lams[b]
+        for lc in lams[n - a - b]
+    ]
 
 
 def poincare_p2(n: int, rho: Optional[CharVector] = None) -> PoincarePoly:

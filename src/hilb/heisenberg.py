@@ -28,10 +28,14 @@ where c_m is the m-th Nakajima constant, imported from the intersection
 calculus rather than re-derived (and imported only when an operator
 needs it, so the series alone never load the lattice layer).
 commutator_checks verifies the relation on spanning probe states for a
-list of (m, k, alpha, beta): it tags every probe's monomials with the
-probe's index and puts them into one state, so each kernel makes a single
-pass over all probes and a probe fails iff its tag survives in the
-residue. commutator_check is its one-quadruple case.
+list of (m, k, alpha, beta): it codes every factor (level, label) as one
+int that sorts as the pair does, tags every probe's monomials with the
+negative int -1 - (probe index) and puts them into one state, so each
+kernel makes a single pass over all probes, hashing and comparing ints
+only, and a probe fails iff its tag survives in the residue.
+commutator_check is its one-quadruple case. The create and annihilate
+kernels take either kind of factor, so the public operators and the
+check share them.
 """
 
 from __future__ import annotations
@@ -53,13 +57,14 @@ class SurfaceModel(Record):
     "pt" with value 1 and degree-2 classes through `h2`, an
     IntersectionLattice of rank b2 (default: the identity form on
     e1..e_b2, built in O(b2)); no other block is nonzero. An immutable
-    value: two surfaces built from equal (betti, h2) are equal and hash
-    equal. `basis`, `_degrees` and `_pairing` are derived from them for
-    the Fock kernels' lookups, and pickling sends (betti, h2) back
-    through `__init__`.
+    value defined by (betti, h2): it compares, hashes and pickles by
+    them alone, and unpickling sends them back through `__init__`.
+    `basis`, `_degrees` and `_pairing` are derived from them for the Fock
+    kernels' lookups.
     """
 
     __slots__ = ("betti", "h2", "basis", "_degrees", "_pairing")
+    _fields = ("betti", "h2")
 
     def __init__(
         self,
@@ -98,9 +103,6 @@ class SurfaceModel(Record):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_degrees", dict(basis))
         object.__setattr__(self, "_pairing", pairing)
-
-    def __reduce__(self):
-        return (SurfaceModel, (self.betti, self.h2))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.basis)
@@ -370,7 +372,7 @@ def _merged(a: dict, b: dict, sign: int) -> dict:
     return merged
 
 
-def _created(terms: dict, factor: tuple[int, str]) -> dict:
+def _created(terms: dict, factor) -> dict:
     """Canonical terms times one valid factor, inserted at its sorted place.
 
     Distinct monomials stay distinct, so no coefficient merges or vanishes.
@@ -382,15 +384,25 @@ def _created(terms: dict, factor: tuple[int, str]) -> dict:
     return out
 
 
-def _annihilated(terms: dict, m: int, alpha: str, pairing: dict, cm: int) -> dict:
-    """Canonical terms under a_m(alpha), with c_m = cm and the surface's pairing.
+def _partners(pairing: dict, m: int, alpha: str, cm: int, rank: Optional[dict] = None) -> list:
+    """(factor a_{-m}(beta), weight c_m <alpha, beta>) for each beta that alpha pairs with.
 
-    The factors a_{-m}(beta) that alpha pairs with are listed once per
-    call; each one present in a monomial is removed once, contributing its
-    multiplicity times c_m <alpha, beta>.
+    A factor is (m, beta), or with the label ranks `rank` of
+    commutator_checks its code m * len(rank) + rank[beta].
     """
-    partners = [((m, beta), cm * ip) for (a, beta), ip in pairing.items() if a == alpha]
-    out: dict[FockMonomial, int] = {}
+    if rank is None:
+        return [((m, b), cm * ip) for (a, b), ip in pairing.items() if a == alpha]
+    width = len(rank)
+    return [(m * width + rank[b], cm * ip) for (a, b), ip in pairing.items() if a == alpha]
+
+
+def _annihilated(terms: dict, partners: list) -> dict:
+    """Canonical terms under the annihilator whose partners _partners listed.
+
+    Each partner factor present in a monomial is removed once,
+    contributing its multiplicity times its weight.
+    """
+    out: dict = {}
     for mono, c in terms.items():
         for factor, weight in partners:
             copies = mono.count(factor)
@@ -419,7 +431,8 @@ def annihilate(state: FockState, m: int, alpha: str) -> FockState:
     m = as_size(m, 1, "annihilation level")
     surface = state.surface
     surface.degree(alpha)
-    terms = _annihilated(state.terms, m, alpha, surface._pairing, nakajima_closed_form(m))
+    partners = _partners(surface._pairing, m, alpha, nakajima_closed_form(m))
+    terms = _annihilated(state.terms, partners)
     return FockState._of(surface, terms)
 
 
@@ -469,18 +482,22 @@ def commutator_checks(
 
     Each (m, k, alpha, beta) must act as delta_{mk} * c_m * <alpha, beta>
     times the identity. Every level and label, and every probe built on
-    another surface, is validated before any probe is touched. All probes
-    go into one tagged state: each monomial of probe i is prefixed with
-    the factor (0, i), whose level 0 sorts before every real factor and
-    pairs with nothing. So each kernel makes one pass over all probes: the
-    image under a_{-k}(beta) once per (k, beta), under a_m(alpha) once per
-    (m, alpha), and the residue [a_m(alpha), a_{-k}(beta)] - scalar once
-    per quadruple; a probe fails iff its tag is left in the residue.
-    Nothing is kept after the call. Default probes span every monomial of
-    `surface` through t-weight 6.
+    another surface, is validated before any probe is touched. The
+    kernels run on int codes: with W labels ranked by sorted order, the
+    factor (level, label) is level * W + rank(label), so codes sort as
+    the factors do. All probes go into one tagged state: each monomial of
+    probe i is prefixed with the tag -1 - i, which sorts before every
+    code and pairs with nothing. So each kernel makes one pass over all
+    probes: the image under a_{-k}(beta) once per (k, beta), under
+    a_m(alpha) once per (m, alpha), and the residue
+    [a_m(alpha), a_{-k}(beta)] - scalar once per quadruple; a probe fails
+    iff its tag is left in the residue. Nothing is kept after the call.
+    Default probes span every monomial of `surface` through t-weight 6.
     """
     from .lattice import nakajima_closed_form
 
+    rank = {label: r for r, label in enumerate(sorted(surface._degrees))}
+    width = len(rank)
     checked = []
     for m, k, alpha, beta in quads:
         m = as_size(m, 1, "annihilation level")
@@ -496,25 +513,27 @@ def commutator_checks(
         for p in probes
     ]
     tagged = {
-        ((0, i),) + mono: c for i, probe in enumerate(terms) for mono, c in probe.items()
+        (-1 - i, *[level * width + rank[label] for level, label in mono]): c
+        for i, probe in enumerate(terms)
+        for mono, c in probe.items()
     }
     pairing = surface._pairing
-    created: dict[tuple[int, str], dict] = {}
-    annihilated: dict[tuple[int, str], dict] = {}
+    created: dict[int, dict] = {}
+    annihilated: dict[tuple[int, str], tuple[list, dict]] = {}
     reports = []
     for m, k, alpha, beta, cm, scalar in checked:
-        factor = (k, beta)
+        factor = k * width + rank[beta]
         if factor not in created:
             created[factor] = _created(tagged, factor)
         if (m, alpha) not in annihilated:
-            annihilated[m, alpha] = _annihilated(tagged, m, alpha, pairing, cm)
+            partners = _partners(pairing, m, alpha, cm, rank)
+            annihilated[m, alpha] = partners, _annihilated(tagged, partners)
+        partners, image = annihilated[m, alpha]
         commutator = _merged(
-            _annihilated(created[factor], m, alpha, pairing, cm),
-            _created(annihilated[m, alpha], factor),
-            -1,
+            _annihilated(created[factor], partners), _created(image, factor), -1
         )
         residue = _merged(commutator, tagged, -scalar) if scalar else commutator
-        failures = tuple(sorted({mono[0][1] for mono in residue}))
+        failures = tuple(sorted({-1 - mono[0] for mono in residue}))
         reports.append(
             CommutatorReport(m, k, alpha, beta, scalar, len(terms), failures)
         )

@@ -133,9 +133,9 @@ def test_betti_computes_each_weight_list_once(capsys, monkeypatch):
     calls = []
     original = equivariant._arm_legs
 
-    def counted(lam):
+    def counted(lam, width):
         calls.append(lam)
-        return original(lam)
+        return original(lam, width)
 
     def unused(*args):
         raise AssertionError("betti must not build tangent weight lists")

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from hilb import equivariant
 from hilb import (
     AFFINE_CHART,
     P2_CHART_WEIGHTS,
@@ -170,6 +171,19 @@ def test_fixed_points_p2_counts(size_gate):
             assert sum(p.size for p in pt) == n
 
 
+def test_fixed_points_p2_order():
+    # sizes descend chart by chart, partitions in enumerate_partitions order
+    for n in range(6):
+        assert fixed_points_p2(n) == [
+            (la, lb, lc)
+            for a in range(n, -1, -1)
+            for b in range(n - a, -1, -1)
+            for la in enumerate_partitions(a)
+            for lb in enumerate_partitions(b)
+            for lc in enumerate_partitions(n - a - b)
+        ]
+
+
 def test_poincare_p2_frozen():
     assert str(poincare_p2(0)) == "1"
     assert str(poincare_p2(1)) == "1 + q^2 + q^4"
@@ -328,3 +342,35 @@ def test_cell_tables_match_reference_on_every_small_rho(space, top):
     assert walls > 0
     assert cell_tables("p2", 3, (1, 19)) == cell_tables("p2", 3, CharVector(1, 19))
 
+
+
+def test_cell_tables_reach_the_longest_arm_and_leg():
+    # (12) and (1^12) hold the arms and legs up to n - 1 = 11, the largest
+    # codes of the hook lists
+    n = 12
+    for lam in (Partition((n,)), Partition((1,) * n)):
+        arms = [n - 1 - c for c in range(n)]
+        legs = [0] * n
+        if lam != Partition((n,)):
+            arms, legs = legs, arms
+        assert equivariant._arm_legs(lam, n + 1) == [
+            a * (n + 1) + l for a, l in zip(arms, legs)
+        ]
+    for rho in (default_rho(n), CharVector(1, -2 * n), CharVector(2 * n, -1), CharVector(-3, 40)):
+        for space in ("affine", "p2"):
+            assert cell_tables(space, n, rho)[1] == reference_tables(space, n, rho), (space, rho)
+
+
+def test_cell_tables_on_a_wall_name_the_first_zero_weight():
+    # (2, 3) pairs to zero with the weight (-3, 2) of a box with arm 2, leg 1
+    shown = "non-generic one-parameter subgroup: rho=(2, 3) pairs to zero with weight (-3, 2)"
+    for call in (
+        lambda: cell_tables("affine", 5, CharVector(2, 3)),
+        lambda: cell_tables("p2", 5, (2, 3)),
+        lambda: poincare_affine(5, (2, 3)),
+        lambda: poincare_p2(5, (2, 3)),
+    ):
+        with pytest.raises(NonGenericError) as err:
+            call()
+        assert str(err.value) == shown
+    assert outcome(lambda: reference_tables("p2", 5, CharVector(2, 3))) == shown

@@ -32,6 +32,14 @@ NO_H2 = SurfaceModel((1, 0, 0, 0, 1))  # b2 = 0: no degree-2 factors
 SKEW = SurfaceModel((1, 0, 2, 0, 1), IntersectionLattice(((0, 1), (1, 0)), ("f1", "f2")))
 # a class pairing with two others, so annihilation can cancel terms
 DENSE = SurfaceModel((1, 0, 2, 0, 1), IntersectionLattice(((1, 2), (2, -1)), ("g1", "g2")))
+# b2 = 11: sorted label order ("e10" < "e2") differs from basis order; e2 pairs with e10
+ELEVEN = SurfaceModel(
+    (1, 0, 11, 0, 1),
+    IntersectionLattice.from_entries(
+        {**{(i, i): 1 for i in range(11)}, (1, 9): 1, (9, 1): 1},
+        tuple(f"e{i + 1}" for i in range(11)),
+    ),
+)
 
 
 def brute_character(surface, tmax):
@@ -130,6 +138,17 @@ def test_surface_model_is_immutable():
     assert SKEW != p2_surface() and SKEW != DENSE
     assert repr(copy) == "SurfaceModel(betti=(1, 0, 2, 0, 1))"
 
+
+
+def test_surface_model_is_defined_by_betti_and_h2():
+    # the derived slots take no part in comparing, hashing or pickling
+    assert SurfaceModel._fields == ("betti", "h2")
+    for surface in (P2, SKEW, ELEVEN, NO_H2):
+        assert hash(surface) == hash((surface.betti, surface.h2))
+        assert surface.__reduce__() == (SurfaceModel, (surface.betti, surface.h2))
+        assert hash(vacuum(surface)) == hash((surface, frozenset({((), 1)})))
+    big = SurfaceModel((1, 0, 3000, 0, 1))
+    assert big == SurfaceModel((1, 0, 3000, 0, 1)) != SurfaceModel((1, 0, 2999, 0, 1))
 
 def test_series_coefficients_are_read_only():
     series = goettsche_series(P2, 2)
@@ -487,18 +506,26 @@ def mixed_probes(surface, depth):
         (P2, None, 3, 4, (1, "h")),
         (SKEW, None, 3, 3, (1, "f1")),
         (K3, ("1", "e1", "e2", "pt"), 2, 2, (1, "e1")),
+        (ELEVEN, ("1", "e2", "e10", "e11", "pt"), 2, 2, (1, "e10")),
     ],
-    ids=["p2", "skew", "k3"],
+    ids=["p2", "skew", "k3", "b2-11"],
 )
 def test_commutator_checks_match_a_per_probe_reference(
     monkeypatch, broken, surface, labels, top, depth, bad
 ):
     if broken:
         kernel = hilb.heisenberg._annihilated
+        # commutator_checks codes the factor (level, label) as level * W + rank,
+        # with W labels ranked in sorted order
+        ranks = sorted(surface.labels())
+        coded = bad[0] * len(ranks) + ranks.index(bad[1])
 
         def drops_bad(terms, *rest):
-            # a_m(alpha) wrongly kills every monomial that holds the factor `bad`
-            return kernel({mono: c for mono, c in terms.items() if bad not in mono}, *rest)
+            # a_m(alpha) wrongly kills every monomial that holds the factor `bad`,
+            # as a pair in annihilate and as its code in commutator_checks
+            return kernel(
+                {m: c for m, c in terms.items() if bad not in m and coded not in m}, *rest
+            )
 
         monkeypatch.setattr(hilb.heisenberg, "_annihilated", drops_bad)
     probes = mixed_probes(surface, depth)
@@ -513,6 +540,20 @@ def test_commutator_checks_match_a_per_probe_reference(
     # only the broken run fails, and there only on some of the probes
     assert bool(partial) == broken
     assert all(rep.passed for rep in reports) != broken
+
+
+def test_commutator_checks_keep_monomials_sorted_by_label_not_basis_order():
+    # every probe through t-weight 2 of ELEVEN, so some hold e10 before e2, and
+    # creators that fall between them: a factor code out of sorted label order
+    # would insert them at the wrong place
+    probes = basis_probes(ELEVEN, 2)
+    quads = full_grid(ELEVEN, 2, ("e2", "e5", "e10", "e11"))
+    reports = commutator_checks(ELEVEN, quads, probes)
+    assert [rep.failures for rep in reports] == [
+        reference_failures(ELEVEN, quad, probes) for quad in quads
+    ]
+    assert all(rep.passed for rep in reports)
+    assert {rep.scalar for rep in reports} == {0, 1, -2}
 
 
 def test_commutator_checks_revalidate_probes_from_another_surface(monkeypatch):

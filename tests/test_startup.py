@@ -153,9 +153,9 @@ def test_validated_records_are_frozen_values(record, shown):
 
 def test_value_semantics_live_in_record_only():
     # a new value type subclasses Record and brings no copy of its own;
-    # SurfaceModel pickles its (betti, h2) and not the slots derived from
-    # them, and IntersectionLattice pickles and hashes by its sparse
-    # entries, not by the dense Gram its __init__ takes
+    # SurfaceModel names (betti, h2) as its defining fields instead, and
+    # IntersectionLattice pickles and hashes by its sparse entries, not by
+    # the dense Gram its __init__ takes
     for layer in LAYERS:
         importlib.import_module(f"hilb.{layer}")
     assert not hasattr(hilb.common, "Frozen")
@@ -172,7 +172,6 @@ def test_value_semantics_live_in_record_only():
         if name in vars(c)
     }
     assert own == {
-        ("SurfaceModel", "__reduce__"),
         ("IntersectionLattice", "__hash__"),
         ("IntersectionLattice", "__reduce__"),
     }
