@@ -102,10 +102,13 @@ class IntersectionLattice(Record):
 
     The pairing is stored sparsely, as a {column: value} dict of the
     nonzero entries of each row that has any; `gram` is the dense view.
-    Instances are immutable records, compared by labels and entries.
+    Instances are immutable records, compared by labels and entries. The
+    hash is computed on first use and kept in the slot `_hash`, which is
+    not a defining field.
     """
 
-    __slots__ = ("labels", "_rows")
+    __slots__ = ("labels", "_rows", "_hash")
+    _fields = ("labels", "_rows")
 
     def __init__(self, gram, labels):
         gram = tuple(map(tuple, gram))
@@ -168,7 +171,12 @@ class IntersectionLattice(Record):
         return {(i, j): x for i, row in self._rows.items() for j, x in row.items()}
 
     def __hash__(self) -> int:
-        return hash((self.labels, frozenset(self.entries().items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.labels, frozenset(self.entries().items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return f"IntersectionLattice(gram={self.gram!r}, labels={self.labels!r})"

@@ -28,14 +28,16 @@ where c_m is the m-th Nakajima constant, imported from the intersection
 calculus rather than re-derived (and imported only when an operator
 needs it, so the series alone never load the lattice layer).
 commutator_checks verifies the relation on spanning probe states for a
-list of (m, k, alpha, beta): it codes every factor (level, label) as one
-int that sorts as the pair does, tags every probe's monomials with the
-negative int -1 - (probe index) and puts them into one state, so each
-kernel makes a single pass over all probes, hashing and comparing ints
-only, and a probe fails iff its tag survives in the residue.
-commutator_check is its one-quadruple case. The create and annihilate
-kernels take either kind of factor, so the public operators and the
-check share them.
+list of (m, k, alpha, beta): it packs every probe monomial into one int
+key, a multiset with one slot per factor (level, label) that counts its
+copies and the probe's index as a tag above every slot, and puts all
+probes into one state. Creation adds one slot unit to every key,
+annihilation subtracts one from each key whose slot is nonzero (no slot
+carries or borrows; _annihilated_packed proves it), so each kernel makes
+a single pass over all probes on ints only, and a probe fails iff its
+tag survives in the residue. commutator_check is its one-quadruple
+case. The public operators keep their own tuple kernels, _created and
+_annihilated, which the tests use as an independent reference.
 """
 
 from __future__ import annotations
@@ -325,7 +327,7 @@ class FockState(Record):
         return (t, u)
 
     def _plus(self, other: "FockState", sign: int) -> "FockState":
-        merged = _merged(self.terms, other.terms, sign)
+        merged = _added(dict(self.terms), other.terms, sign)
         if other.surface is not self.surface:
             # other's labels were checked against its own surface only
             return FockState(self.surface, merged)
@@ -360,16 +362,15 @@ def vacuum(surface: SurfaceModel) -> FockState:
     return FockState(surface, {(): 1})
 
 
-def _merged(a: dict, b: dict, sign: int) -> dict:
-    """Canonical terms of a + sign * b, for canonical a and b."""
-    merged = a.copy()
+def _added(a: dict, b: dict, sign: int) -> dict:
+    """Canonical a, with sign * b added in place, for canonical a and b."""
     for mono, c in b.items():
-        c = merged.get(mono, 0) + sign * c
+        c = a.get(mono, 0) + sign * c
         if c:
-            merged[mono] = c
+            a[mono] = c
         else:
-            del merged[mono]
-    return merged
+            del a[mono]
+    return a
 
 
 def _created(terms: dict, factor) -> dict:
@@ -384,16 +385,9 @@ def _created(terms: dict, factor) -> dict:
     return out
 
 
-def _partners(pairing: dict, m: int, alpha: str, cm: int, rank: Optional[dict] = None) -> list:
-    """(factor a_{-m}(beta), weight c_m <alpha, beta>) for each beta that alpha pairs with.
-
-    A factor is (m, beta), or with the label ranks `rank` of
-    commutator_checks its code m * len(rank) + rank[beta].
-    """
-    if rank is None:
-        return [((m, b), cm * ip) for (a, b), ip in pairing.items() if a == alpha]
-    width = len(rank)
-    return [(m * width + rank[b], cm * ip) for (a, b), ip in pairing.items() if a == alpha]
+def _partners(pairing: dict, m: int, alpha: str, cm: int) -> list:
+    """(factor a_{-m}(beta), weight c_m <alpha, beta>) for each beta that alpha pairs with."""
+    return [((m, b), cm * ip) for (a, b), ip in pairing.items() if a == alpha]
 
 
 def _annihilated(terms: dict, partners: list) -> dict:
@@ -411,6 +405,43 @@ def _annihilated(terms: dict, partners: list) -> dict:
                 reduced = mono[:pos] + mono[pos + 1 :]
                 out[reduced] = out.get(reduced, 0) + c * copies * weight
     return {mono: c for mono, c in out.items() if c}
+
+
+def _annihilated_packed(keys: dict, partners: list, unit: dict, bits: int) -> dict:
+    """Packed keys under the annihilator whose partners _partners listed.
+
+    commutator_checks packs each monomial as one int key, a multiset:
+    every factor f in use owns a slot of `bits` bits, from the bit of
+    unit[f] = 1 << (its slot index) * bits, that counts the copies of f,
+    and the probe's tag lies above every slot. A partner f present in a
+    key is removed once, as key - unit[f], contributing its multiplicity
+    key >> shift & mask times its weight; a partner with no slot is in
+    no key.
+
+    No slot carries or borrows, so the tag is never touched. With
+    `longest` the most factors in one probe monomial, bits is
+    bit_length(longest + 1). A slot holds at most `longest` copies from
+    the probe, plus one created factor, so at most longest + 1 <
+    2^bits: creation, adding unit[f], never carries. Annihilation
+    subtracts unit[f] only from a key whose slot f is nonzero, so it
+    never borrows. For one partner the keys key - unit[f] are distinct
+    and their coefficients nonzero; merging the per-partner dicts adds
+    and cancels the rest.
+    """
+    mask = (1 << bits) - 1
+    out: dict = {}
+    for factor, weight in partners:
+        u = unit.get(factor)
+        if u is None:
+            continue
+        shift = u.bit_length() - 1
+        part = {
+            key - u: c * copies * weight
+            for key, c in keys.items()
+            if (copies := key >> shift & mask)
+        }
+        out = _added(out, part, 1) if out else part
+    return out
 
 
 def create(state: FockState, m: int, gamma: str) -> FockState:
@@ -482,22 +513,22 @@ def commutator_checks(
 
     Each (m, k, alpha, beta) must act as delta_{mk} * c_m * <alpha, beta>
     times the identity. Every level and label, and every probe built on
-    another surface, is validated before any probe is touched. The
-    kernels run on int codes: with W labels ranked by sorted order, the
-    factor (level, label) is level * W + rank(label), so codes sort as
-    the factors do. All probes go into one tagged state: each monomial of
-    probe i is prefixed with the tag -1 - i, which sorts before every
-    code and pairs with nothing. So each kernel makes one pass over all
-    probes: the image under a_{-k}(beta) once per (k, beta), under
-    a_m(alpha) once per (m, alpha), and the residue
-    [a_m(alpha), a_{-k}(beta)] - scalar once per quadruple; a probe fails
-    iff its tag is left in the residue. Nothing is kept after the call.
-    Default probes span every monomial of `surface` through t-weight 6.
+    another surface, is validated before any probe is touched. Default
+    probes span every monomial of `surface` through t-weight 6.
+
+    The kernels run on packed keys (see _annihilated_packed). Each factor
+    (level, label) of a probe or a creator gets one slot, numbered in
+    order of first use, so a key's width does not grow with the levels.
+    Probe i's monomials carry the tag i above every slot and all go
+    into one state, so each kernel makes one pass over all probes:
+    a_{-k}(beta) adds one unit to every key, once per (k, beta);
+    a_m(alpha) runs once per (m, alpha); and the residue
+    [a_m(alpha), a_{-k}(beta)] - scalar once per quadruple. A probe
+    fails iff its tag survives in the residue. Nothing is kept after the
+    call.
     """
     from .lattice import nakajima_closed_form
 
-    rank = {label: r for r, label in enumerate(sorted(surface._degrees))}
-    width = len(rank)
     checked = []
     for m, k, alpha, beta in quads:
         m = as_size(m, 1, "annihilation level")
@@ -506,14 +537,22 @@ def commutator_checks(
         cm = nakajima_closed_form(m)
         checked.append((m, k, alpha, beta, cm, cm * ip if m == k else 0))
     if probes is None:
-        probes = [FockState(surface, {mono: 1}) for mono in basis_monomials(surface, 6)]
-    # a probe's labels were checked against its own surface only
-    terms = [
-        (p if p.surface is surface else FockState(surface, p.terms)).terms
-        for p in probes
-    ]
+        # canonical monomials on this surface's own labels
+        terms = [{mono: 1} for mono in basis_monomials(surface, 6)]
+    else:
+        # a probe's labels were checked against its own surface only
+        terms = [
+            (p if p.surface is surface else FockState(surface, p.terms)).terms
+            for p in probes
+        ]
+    monos = [mono for probe in terms for mono in probe]
+    slots = dict.fromkeys(factor for mono in monos for factor in mono)
+    slots.update(dict.fromkeys((k, beta) for _, k, _, beta, _, _ in checked))
+    bits = (max(map(len, monos), default=0) + 1).bit_length()
+    unit = {factor: 1 << i * bits for i, factor in enumerate(slots)}
+    tagshift = len(unit) * bits
     tagged = {
-        (-1 - i, *[level * width + rank[label] for level, label in mono]): c
+        sum(map(unit.__getitem__, mono), i << tagshift): c
         for i, probe in enumerate(terms)
         for mono, c in probe.items()
     }
@@ -522,18 +561,21 @@ def commutator_checks(
     annihilated: dict[tuple[int, str], tuple[list, dict]] = {}
     reports = []
     for m, k, alpha, beta, cm, scalar in checked:
-        factor = k * width + rank[beta]
-        if factor not in created:
-            created[factor] = _created(tagged, factor)
+        u = unit[k, beta]
+        if u not in created:
+            created[u] = {key + u: c for key, c in tagged.items()}
         if (m, alpha) not in annihilated:
-            partners = _partners(pairing, m, alpha, cm, rank)
-            annihilated[m, alpha] = partners, _annihilated(tagged, partners)
+            partners = _partners(pairing, m, alpha, cm)
+            annihilated[m, alpha] = partners, _annihilated_packed(tagged, partners, unit, bits)
         partners, image = annihilated[m, alpha]
-        commutator = _merged(
-            _annihilated(created[factor], partners), _created(image, factor), -1
+        residue = _added(
+            _annihilated_packed(created[u], partners, unit, bits),
+            {key + u: c for key, c in image.items()},
+            -1,
         )
-        residue = _merged(commutator, tagged, -scalar) if scalar else commutator
-        failures = tuple(sorted({-1 - mono[0] for mono in residue}))
+        if scalar:
+            _added(residue, tagged, -scalar)
+        failures = tuple(sorted({key >> tagshift for key in residue}))
         reports.append(
             CommutatorReport(m, k, alpha, beta, scalar, len(terms), failures)
         )

@@ -460,17 +460,37 @@ def test_commutator_checks_match_one_quadruple_at_a_time():
 
 
 def test_commutator_checks_catch_a_broken_annihilator(monkeypatch):
-    kernel = hilb.heisenberg._annihilated
+    kernel = hilb.heisenberg._annihilated_packed
 
     def doubled(*args):
-        return {mono: 2 * c for mono, c in kernel(*args).items()}
+        return {key: 2 * c for key, c in kernel(*args).items()}
 
-    monkeypatch.setattr(hilb.heisenberg, "_annihilated", doubled)
+    monkeypatch.setattr(hilb.heisenberg, "_annihilated_packed", doubled)
     probes = basis_probes(P2, 3)
     for rep in commutator_checks(P2, full_grid(P2, 3), probes):
         # the doubled commutator is 2 * scalar, so every probe fails iff scalar != 0
         want = tuple(range(len(probes))) if rep.scalar else ()
         assert rep.failures == want, rep
+
+
+def break_annihilators(monkeypatch, bad):
+    """a_m(alpha) wrongly kills every monomial that holds the factor `bad`.
+
+    Both kernels break alike: the tuple one that `annihilate` uses, and
+    the packed one of commutator_checks, which drops every key whose slot
+    for `bad` is nonzero.
+    """
+    tuples, packed = hilb.heisenberg._annihilated, hilb.heisenberg._annihilated_packed
+
+    def drops_bad(terms, partners):
+        return tuples({m: c for m, c in terms.items() if bad not in m}, partners)
+
+    def drops_bad_keys(keys, partners, unit, bits):
+        slot = unit.get(bad, 0) * ((1 << bits) - 1)
+        return packed({key: c for key, c in keys.items() if not key & slot}, partners, unit, bits)
+
+    monkeypatch.setattr(hilb.heisenberg, "_annihilated", drops_bad)
+    monkeypatch.setattr(hilb.heisenberg, "_annihilated_packed", drops_bad_keys)
 
 
 def reference_failures(surface, quad, probes):
@@ -499,36 +519,38 @@ def mixed_probes(surface, depth):
     ]
 
 
+def stacked_probes(surface, factor, counts):
+    # one factor held up to max(counts) times, so creating it once more fills
+    # its slot to max(counts) + 1, beside probes that do not hold it
+    other = (2, "pt")
+    return [
+        vacuum(surface),
+        FockState(surface, {(other,): 1}),
+        *[FockState(surface, {(factor,) * n: 1}) for n in counts],
+        FockState(surface, {(factor,) * 3 + (other,): 2, (factor,): -1}),
+    ]
+
+
 @pytest.mark.parametrize("broken", [False, True], ids=["real", "broken"])
 @pytest.mark.parametrize(
-    "surface, labels, top, depth, bad",
+    "surface, labels, top, probes, bad",
     [
-        (P2, None, 3, 4, (1, "h")),
-        (SKEW, None, 3, 3, (1, "f1")),
-        (K3, ("1", "e1", "e2", "pt"), 2, 2, (1, "e1")),
-        (ELEVEN, ("1", "e2", "e10", "e11", "pt"), 2, 2, (1, "e10")),
+        (P2, None, 3, mixed_probes(P2, 4), (1, "h")),
+        (SKEW, None, 3, mixed_probes(SKEW, 3), (1, "f1")),
+        (K3, ("1", "e1", "e2", "pt"), 2, mixed_probes(K3, 2), (1, "e1")),
+        (ELEVEN, ("1", "e2", "e10", "e11", "pt"), 2, mixed_probes(ELEVEN, 2), (1, "e10")),
+        # a slot filled to 7 + 1 = 2^3 and to 8 + 1; creators at level 3 lie
+        # above every probe level
+        (P2, None, 3, stacked_probes(P2, (1, "h"), (1, 3, 4, 7)), (1, "h")),
+        (P2, None, 3, stacked_probes(P2, (1, "h"), (1, 3, 4, 7, 8)), (1, "h")),
     ],
-    ids=["p2", "skew", "k3", "b2-11"],
+    ids=["p2", "skew", "k3", "b2-11", "slots-7", "slots-8"],
 )
 def test_commutator_checks_match_a_per_probe_reference(
-    monkeypatch, broken, surface, labels, top, depth, bad
+    monkeypatch, broken, surface, labels, top, probes, bad
 ):
     if broken:
-        kernel = hilb.heisenberg._annihilated
-        # commutator_checks codes the factor (level, label) as level * W + rank,
-        # with W labels ranked in sorted order
-        ranks = sorted(surface.labels())
-        coded = bad[0] * len(ranks) + ranks.index(bad[1])
-
-        def drops_bad(terms, *rest):
-            # a_m(alpha) wrongly kills every monomial that holds the factor `bad`,
-            # as a pair in annihilate and as its code in commutator_checks
-            return kernel(
-                {m: c for m, c in terms.items() if bad not in m and coded not in m}, *rest
-            )
-
-        monkeypatch.setattr(hilb.heisenberg, "_annihilated", drops_bad)
-    probes = mixed_probes(surface, depth)
+        break_annihilators(monkeypatch, bad)
     quads = full_grid(surface, top, labels)
     reports = commutator_checks(surface, quads, probes)
     assert [rep.failures for rep in reports] == [
@@ -540,6 +562,30 @@ def test_commutator_checks_match_a_per_probe_reference(
     # only the broken run fails, and there only on some of the probes
     assert bool(partial) == broken
     assert all(rep.passed for rep in reports) != broken
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["real", "broken"])
+@pytest.mark.parametrize("surface", [P2, SKEW], ids=["p2", "skew"])
+def test_commutator_checks_default_probes_are_the_basis_through_t_weight_6(
+    monkeypatch, broken, surface
+):
+    if broken:
+        break_annihilators(monkeypatch, (1, "1"))
+    quads = full_grid(surface, 2) + [(7, 7, "pt", "1"), (1, 9, "1", "pt")]
+    explicit = basis_probes(surface, 6)
+    reports = commutator_checks(surface, quads)
+    assert reports == commutator_checks(surface, quads, explicit)
+    # broken, some probes fail but not all, at the same indices either way
+    assert any(0 < len(rep.failures) < len(explicit) for rep in reports) == broken
+
+
+def test_commutator_checks_take_levels_far_above_the_probes():
+    # a factor's slot does not depend on its level
+    big = 10**12
+    quads = [(big, big, "h", "h"), (big, big, "1", "pt"), (big, 1, "pt", "1"), (1, big, "h", "h")]
+    reports = commutator_checks(P2, quads)
+    assert [rep.scalar for rep in reports] == [-big, -big, 0, 0]
+    assert all(rep.passed and rep.probes_checked == 415 for rep in reports)
 
 
 def test_commutator_checks_keep_monomials_sorted_by_label_not_basis_order():
@@ -560,8 +606,8 @@ def test_commutator_checks_revalidate_probes_from_another_surface(monkeypatch):
     foreign = FockState(K3, {((1, "e5"),): 1})  # e5 is no class of the plane
     with pytest.raises(ValueError, match="no cohomology class named 'e5'"):
         commutator_checks(P2, [(1, 1, "h", "h")], [foreign])
-    for name in ("_created", "_annihilated"):
-        monkeypatch.setattr(hilb.heisenberg, name, None)  # no probe may be touched
+    # no probe may be touched: every quadruple reaches the packed kernel
+    monkeypatch.setattr(hilb.heisenberg, "_annihilated_packed", None)
     with pytest.raises(ValueError, match="no cohomology class named 'e5'"):
         commutator_checks(P2, [(1, 1, "h", "h")], [vacuum(P2), foreign])
     monkeypatch.undo()

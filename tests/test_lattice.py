@@ -1,5 +1,7 @@
 """Blow-up lattices, the exceptional self-intersection, and the constants."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +215,30 @@ def test_lattice_from_entries_validation():
         IntersectionLattice.from_entries({}, ("B", "C", "B"))
     with pytest.raises(AttributeError):
         lat.labels = ("C", "D")
+
+
+def test_lattice_hash_is_computed_once(monkeypatch):
+    labels = ("A", "B", "C")
+    by_gram = IntersectionLattice(((2, 3, 0), (3, -4, 0), (0, 0, 0)), labels)
+    by_entries = IntersectionLattice.from_entries(
+        {(0, 0): 2, (0, 1): 3, (1, 0): 3, (1, 1): -4}, labels
+    )
+    hashed = hash(by_gram)
+    pickled = pickle.loads(pickle.dumps(by_gram))
+    # the kept hash is no defining field: equality, repr and pickling ignore it
+    assert by_gram == by_entries == pickled
+    assert repr(pickled) == repr(by_gram) == repr(by_entries)
+    assert hash(by_entries) == hash(pickled) == hashed
+    assert pickle.dumps(by_gram) == pickle.dumps(by_entries)
+    calls = []
+    entries = IntersectionLattice.entries
+    monkeypatch.setattr(
+        IntersectionLattice, "entries", lambda self: calls.append(1) or entries(self)
+    )
+    fresh = IntersectionLattice(((1, 0), (0, -1)), ("P", "Q"))
+    first = hash(fresh)
+    assert calls == [1]
+    assert hash(fresh) == first and calls == [1]
 
 
 def test_integer_arguments_are_coerced(size_gate):
