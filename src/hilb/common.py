@@ -75,10 +75,7 @@ class DivisorClass(Record):
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[int, ...]):
-        coords = tuple(coords)
-        # exact ints need no coercion, and the recurrence builds a long class per step
-        if not {int}.issuperset(map(type, coords)):
-            coords = tuple(as_int(c, "coordinates must be integers") for c in coords)
+        coords = tuple(as_int(c, "coordinates must be integers") for c in coords)
         object.__setattr__(self, "coords", coords)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":

@@ -488,6 +488,11 @@ def basis_monomials(surface: SurfaceModel, max_t: int) -> list[FockMonomial]:
     return out
 
 
+# Default probes through t-weight 6 number 56,680 at b2 = 10 (about 0.3 s
+# per quadruple) and 1,279,175 on k3_surface(); more than this are refused.
+MAX_DEFAULT_PROBES = 60_000
+
+
 class CommutatorReport(NamedTuple):
     """Result of probing [a_m(alpha), a_{-k}(beta)] against its scalar."""
 
@@ -514,7 +519,9 @@ def commutator_checks(
     Each (m, k, alpha, beta) must act as delta_{mk} * c_m * <alpha, beta>
     times the identity. Every level and label, and every probe built on
     another surface, is validated before any probe is touched. Default
-    probes span every monomial of `surface` through t-weight 6.
+    probes span every monomial of `surface` through t-weight 6; they are
+    counted from fock_character(surface, 6) first, and more than
+    MAX_DEFAULT_PROBES raise ValueError.
 
     The kernels run on packed keys (see _annihilated_packed). Each factor
     (level, label) of a probe or a creator gets one slot, numbered in
@@ -537,6 +544,9 @@ def commutator_checks(
         cm = nakajima_closed_form(m)
         checked.append((m, k, alpha, beta, cm, cm * ip if m == k else 0))
     if probes is None:
+        count = sum(map(fock_character(surface, 6).u_one, range(7)))
+        if count > MAX_DEFAULT_PROBES:
+            raise ValueError(f"{count} default probes exceed {MAX_DEFAULT_PROBES}; pass probes")
         # canonical monomials on this surface's own labels
         terms = [{mono: 1} for mono in basis_monomials(surface, 6)]
     else:
@@ -593,8 +603,8 @@ def commutator_check(
     """Verify the commutation relation on probe states.
 
     Expected action: delta_{mk} * c_m * <alpha, beta> * identity. Default
-    probes span every monomial through t-weight 6. This is the
-    one-quadruple case of commutator_checks, which runs each kernel once
-    over all probes.
+    probes span every monomial through t-weight 6, at most
+    MAX_DEFAULT_PROBES of them. This is the one-quadruple case of
+    commutator_checks, which runs each kernel once over all probes.
     """
     return commutator_checks(surface, [(m, k, alpha, beta)], probes)[0]

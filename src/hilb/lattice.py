@@ -9,10 +9,10 @@ That single integral drives the recurrence
 whose steps are exact integer divisions with the integrality of every
 c_n asserted, and whose values the closed form (-1)^(n-1) n must
 reproduce. The recurrence blows up the empty base once, at N - 1 points,
-and step n pairs E = e_1 + ... + e_n with itself on that lattice. The
-degree n+1 comes from the generically finite projection of the one-point
-locus upstairs, the 1/n^2 from pairing against the n-fold fiber class on
-both sides.
+and carries the square of E = e_1 + ... + e_n on that lattice from step
+to step, reading each e_n's stored entries once. The degree n+1 comes
+from the generically finite projection of the one-point locus upstairs,
+the 1/n^2 from pairing against the n-fold fiber class on both sides.
 """
 
 from __future__ import annotations
@@ -107,17 +107,22 @@ def nakajima_recurrence(N: int) -> NakajimaSequence:
     """Constants c_1..c_N by the exceptional-class recurrence.
 
     One lattice, the empty base blown up at N - 1 points, serves every
-    step: step n pairs e_1 + ... + e_n with itself through
-    IntersectionLattice.pair, so each -n factor comes from the lattice's
-    pairing, in O(N) work. Each step is the integer division
-    c_n * (E.E) * (n+1) / n^2; a non-zero remainder raises ConsistencyError.
+    step. Step n carries the square of E = e_1 + ... + e_n: it adds the
+    entries of e_n's row and column up to e_n, 2 (E - e_n).e_n + e_n.e_n,
+    grouped once from the lattice's entries. So the -n comes from the
+    lattice's pairing, any wrong stored entry shows, and a run is O(N).
+    Each step is the integer division c_n * (E.E) * (n+1) / n^2; a
+    non-zero remainder raises ConsistencyError.
     """
     N = as_size(N, 1, "the number of constants")
     blown = blow_up(rank_zero_lattice(), N - 1)
-    values = [1]
+    # grows[i]: the entries that E.E gains when e_(i+1) joins E
+    grows = [0] * N
+    for (i, j), x in blown.entries().items():
+        grows[max(i, j)] += x
+    values, e2 = [1], 0
     for n in range(1, N):
-        total = DivisorClass((1,) * n + (0,) * (N - 1 - n))
-        e2 = blown.pair(total, total)
+        e2 += grows[n - 1]
         step, rest = divmod(values[-1] * e2 * (n + 1), n * n)
         if rest:
             raise ConsistencyError(f"non-integral constant at n={n + 1}")

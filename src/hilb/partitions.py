@@ -39,7 +39,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        return _shaped(tuple(as_int(p, "parts must be positive integers") for p in parts))
+        return _shaped([as_int(p, "parts must be positive integers") for p in parts])
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -85,7 +85,7 @@ class Partition(tuple):
 
     def conjugate(self) -> "Partition":
         """Transpose the diagram."""
-        return _shaped(tuple(self.column_lengths()))
+        return _shaped(self.column_lengths())
 
     def column_lengths(self) -> list[int]:
         """Column heights, left to right: the parts of the conjugate.
@@ -120,9 +120,9 @@ class Partition(tuple):
         while r < len(self):
             # r is the top row of its run of equal parts: the run's corner
             p = self[r]
-            out.append(_shaped(self[:r] + (p + 1,) + self[r + 1 :]))
+            out.append(_shaped([*self[:r], p + 1, *self[r + 1 :]]))
             r += self.count(p)
-        out.append(_shaped(self + (1,)))
+        out.append(_shaped([*self, 1]))
         return out
 
     def cocovers(self) -> list["Partition"]:
@@ -137,15 +137,16 @@ class Partition(tuple):
         for r, p in enumerate(self):
             if p == (self[r + 1] if r + 1 < len(self) else 0):
                 continue
-            out.append(_shaped(self[:r] + ((p - 1,) if p > 1 else ()) + self[r + 1 :]))
+            out.append(_shaped([*self[:r], *((p - 1,) if p > 1 else ()), *self[r + 1 :]]))
         return out
 
 
-def _shaped(pts: tuple[int, ...]) -> Partition:
-    """Shape-check parts already made ints; every Partition is built here."""
-    # A weakly decreasing tuple whose last part is positive is valid;
+def _shaped(pts: list[int]) -> Partition:
+    """Shape-check a list of parts already made ints; every Partition is built here."""
+    # A weakly decreasing list whose last part is positive is valid;
     # anything else goes through the part-by-part scan for its error.
-    if pts and (pts[-1] <= 0 or pts != tuple(sorted(pts, reverse=True))):
+    if pts and (pts[-1] <= 0 or pts != sorted(pts, reverse=True)):
+        pts = tuple(pts)
         for i, p in enumerate(pts):
             if p <= 0:
                 raise ValueError(f"parts must be positive integers, got {p}")
@@ -171,14 +172,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
     enumerate_partitions(3) gives (3), (2,1), (1,1,1).
     """
-    out = []
-    for pts in _descending_lex(as_size(n, 0, "partition size")):
-        # _shaped's test, on the generator's list; _shaped names a fault
-        if pts and (pts[-1] <= 0 or pts != sorted(pts, reverse=True)):
-            out.append(_shaped(tuple(pts)))
-        else:
-            out.append(tuple.__new__(Partition, pts))
-    return out
+    return list(map(_shaped, _descending_lex(as_size(n, 0, "partition size"))))
 
 
 def _descending_lex(n: int) -> Iterator[list[int]]:

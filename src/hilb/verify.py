@@ -52,7 +52,7 @@ from .lattice import (
     rank_zero_lattice,
 )
 from .monomial import generator_count, hilbert_burch, socle_count, staircase
-from .partitions import Partition, enumerate_partitions, pentagonal_partition_count
+from .partitions import enumerate_partitions, pentagonal_partition_count
 
 
 class CheckResult(NamedTuple):
@@ -129,41 +129,29 @@ def check_conjugate_involution(top: int) -> str:
     return "transpose is an involution"
 
 
-class _BuiltOnce(dict):
-    """{partition: build(partition)}, each entry built at its first read."""
-
-    def __init__(self, build: Callable[[Partition], list[Partition]]):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, lam: Partition) -> list[Partition]:
-        self[lam] = out = self.build(lam)
-        return out
-
-
 @_check("cover-duality", "n<={top}", top=lambda nmax: min(nmax, 20))
 def check_cover_duality(top: int) -> str:
     """covers/cocovers adjunction plus the distinct-part count formulas.
 
-    Each partition's covers and cocovers are built once, and only three
-    sizes are held: covers at n - 1 and n, cocovers at n and n + 1.
+    Each size is enumerated once and carried forward, each partition's
+    covers and cocovers built once; a neighbour of another size is missing.
     """
-    covers_below, covers_here = {}, _BuiltOnce(Partition.covers)
-    cocovers_here = _BuiltOnce(Partition.cocovers)
+    here, covers_below, cocovers_here = enumerate_partitions(0), {}, {}
     for n in range(top + 1):
-        cocovers_above = _BuiltOnce(Partition.cocovers)
-        for lam in enumerate_partitions(n):
+        above = enumerate_partitions(n + 1)
+        covers_here = {lam: lam.covers() for lam in here}
+        cocovers_above = {mu: mu.cocovers() for mu in above}
+        for lam in here:
             ups = covers_here[lam]
             _expect(len(ups) == lam.distinct_part_count() + 1, "cover count at {}", lam)
             for mu in ups:
-                _expect(lam in cocovers_above[mu], "{} missing under {}", lam, mu)
+                _expect(lam in cocovers_above.get(mu, ()), "{} missing under {}", lam, mu)
             if lam:
                 downs = cocovers_here[lam]
                 _expect(len(downs) == lam.distinct_part_count(), "cocover count at {}", lam)
                 for nu in downs:
-                    _expect(lam in covers_below[nu], "{} missing over {}", lam, nu)
-        covers_below, covers_here = covers_here, _BuiltOnce(Partition.covers)
-        cocovers_here = cocovers_above
+                    _expect(lam in covers_below.get(nu, ()), "{} missing over {}", lam, nu)
+        here, covers_below, cocovers_here = above, covers_here, cocovers_above
     return "adjunction and counts hold"
 
 

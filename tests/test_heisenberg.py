@@ -588,6 +588,30 @@ def test_commutator_checks_take_levels_far_above_the_probes():
     assert all(rep.passed and rep.probes_checked == 415 for rep in reports)
 
 
+def test_commutator_checks_refuse_too_many_default_probes(monkeypatch):
+    # the count comes first: no default probe is built before the refusal
+    def unbuilt(surface, max_t):
+        raise AssertionError("basis_monomials called")
+
+    monkeypatch.setattr(hilb.heisenberg, "basis_monomials", unbuilt)
+    message = "^1279175 default probes exceed 60000; pass probes$"
+    with pytest.raises(ValueError, match=message):
+        commutator_checks(K3, [(1, 1, "e1", "e1")])
+    with pytest.raises(ValueError, match=message):
+        commutator_check(K3, 1, 1, "e1", "e1")
+    # the plane's 415 probes sit exactly at a limit of 415
+    monkeypatch.setattr(hilb.heisenberg, "MAX_DEFAULT_PROBES", 414)
+    with pytest.raises(ValueError, match="^415 default probes exceed 414;"):
+        commutator_checks(P2, [(1, 1, "h", "h")])
+    monkeypatch.undo()
+    monkeypatch.setattr(hilb.heisenberg, "MAX_DEFAULT_PROBES", 415)
+    [rep] = commutator_checks(P2, [(1, 1, "h", "h")])
+    assert rep.passed and rep.probes_checked == 415
+    # explicit probes are not counted
+    [rep] = commutator_checks(K3, [(1, 1, "e1", "e1")], [vacuum(K3)])
+    assert rep.passed and rep.scalar == 1
+
+
 def test_commutator_checks_keep_monomials_sorted_by_label_not_basis_order():
     # every probe through t-weight 2 of ELEVEN, so some hold e10 before e2, and
     # creators that fall between them: a factor code out of sorted label order

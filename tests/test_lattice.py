@@ -1,6 +1,7 @@
 """Blow-up lattices, the exceptional self-intersection, and the constants."""
 
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -270,23 +271,61 @@ def test_recurrence_blows_up_once(monkeypatch):
     assert calls == [(0, 39)]
 
 
-def test_recurrence_reads_each_square_off_the_pairing(monkeypatch):
-    # with every new class squaring to -2, E.E = -2n and c_2 comes out as -4
-    def steeper(base, k):
+def planted(extra):
+    """blow_up, then extra's entries {(i, j): x} that fit, written at (i, j) and (j, i)."""
+
+    def blow(base, k):
         blown = blow_up(base, k)
         entries = blown.entries()
-        for i in range(base.rank, blown.rank):
-            entries[(i, i)] = -2
+        for (i, j), x in extra.items():
+            if max(i, j) < blown.rank:
+                entries[i, j] = entries[j, i] = x
         return IntersectionLattice.from_entries(entries, blown.labels)
 
-    monkeypatch.setattr(lattice, "blow_up", steeper)
+    return blow
+
+
+def test_recurrence_reads_each_square_off_the_pairing(monkeypatch):
+    # with every new class squaring to -2, E.E = -2n and c_2 comes out as -4
+    monkeypatch.setattr(lattice, "blow_up", planted({(i, i): -2 for i in range(4)}))
     with pytest.raises(ConsistencyError, match=r"^\|c_2\| must be 2, got -4$"):
         nakajima_recurrence(5)
 
 
 def test_recurrence_refuses_a_non_integral_step(monkeypatch):
-    # with E.E = -1 at every n, step 2 is (-2)(-1)(3)/4, not an integer
-    monkeypatch.setattr(IntersectionLattice, "pair", lambda self, d1, d2: -1)
+    # e_1.e_1 = -1 and, for i >= 2, e_i.e_i = -2 and e_(i-1).e_i = 1 (a chain):
+    # E.E = -1 at every n, so step 2 is (-2)(-1)(3)/4, not an integer
+    chain = {(i, i): -2 for i in range(1, 9)} | {(i - 1, i): 1 for i in range(1, 9)}
+    monkeypatch.setattr(lattice, "blow_up", planted(chain))
+    blown = lattice.blow_up(lattice.rank_zero_lattice(), 9)
+    totals = [DivisorClass((1,) * n + (0,) * (9 - n)) for n in range(1, 10)]
+    assert [blown.pair(e, e) for e in totals] == [-1] * 9
     assert nakajima_recurrence(2).values == (1, -2)
     with pytest.raises(ConsistencyError, match="^non-integral constant at n=3$"):
         nakajima_recurrence(3)
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        # E.E = 0 from n = 2 on: c_3 = 0
+        ((0, 1), r"^\|c_3\| must be 3, got 0$"),
+        # E.E = 2 - n from n = 4 on: c_5 = (-4)(-2)(5)/16
+        ((1, 3), "^non-integral constant at n=5$"),
+    ],
+    ids=["e1.e2", "e2.e4"],
+)
+def test_recurrence_reads_a_planted_off_diagonal_entry(monkeypatch, pair, message):
+    # one wrong entry e_i.e_j = 1 between two exceptional classes
+    monkeypatch.setattr(lattice, "blow_up", planted({pair: 1}))
+    with pytest.raises(ConsistencyError, match=message):
+        nakajima_recurrence(40)
+
+
+def test_recurrence_budget():
+    # linear in N: the square is carried, not re-paired at every step
+    start = time.perf_counter()
+    seq = nakajima_recurrence(3000)
+    elapsed = time.perf_counter() - start
+    assert seq.values == tuple(map(nakajima_closed_form, range(1, 3001)))
+    assert elapsed < 0.25

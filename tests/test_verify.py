@@ -140,6 +140,15 @@ def test_broken_cocovers_fail_cover_duality(monkeypatch):
     assert (bad.scope, bad.passed, bad.detail) == ("n<=4", False, "() missing under (1)")
 
 
+def test_broken_covers_fail_cover_duality(monkeypatch):
+    # the new-row cover is lost and the first cover repeated in its place, so
+    # every cover count still holds and only the adjunction sees it
+    real = Partition.covers
+    monkeypatch.setattr(Partition, "covers", lambda lam: real(lam)[:-1] + real(lam)[:1])
+    [bad] = run_checks(4, ["cover-duality"])
+    assert (bad.scope, bad.passed, bad.detail) == ("n<=4", False, "(1,1) missing over (1)")
+
+
 @pytest.mark.parametrize(
     "nmax, n_quads, n_probes", [(3, 129, 5_667), (4, 192, 20_256), (6, 273, 101_247)]
 )
