@@ -93,10 +93,7 @@ _EXPORTS = {
     ),
 }
 
-_LAYERS = (
-    "errors", "common", "partitions", "monomial", "equivariant",
-    "incidence", "lattice", "heisenberg", "verify", "cli",
-)
+_LAYERS = (*_EXPORTS, "verify", "cli")
 
 _SOURCE = {name: layer for layer, names in _EXPORTS.items() for name in names}
 

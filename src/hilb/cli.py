@@ -77,28 +77,25 @@ _INCIDENCE_COLUMNS = {
 
 
 def _incidence_row(n: int, columns: list[str]) -> list:
-    """One `incidence` row; each quantity is computed only if a column shows it."""
+    """One `incidence` row; `ok` is the jump bound, computed only if shown.
+
+    Every mode but `jumps` shows the pair count once `_confirmed_pair_count`
+    has matched it to the generator and socle sums; a mismatch raises
+    ConsistencyError, exit 1 (under `hilb verify`, a failing row).
+    """
     from .incidence import _confirmed_pair_count, nested_pairs
-    from .monomial import generator_count, socle_count
-    from .partitions import enumerate_partitions
+    from .monomial import generator_count
 
     prs = nested_pairs(n)
-    got: dict = {"n": n, "pairs": len(prs)}
+    count, jump = len(prs), 0
     if "max_jump" in columns:
-        got["max_jump"] = max(
+        jump = max(
             (abs(generator_count(p.upper) - generator_count(p.lower)) for p in prs),
             default=0,
         )
-    if "generator_sum" in columns:
-        # raises ConsistencyError unless all three counts agree
-        got["generator_sum"] = got["socle_sum"] = _confirmed_pair_count(n, len(prs))
-    if "phi_fibers" in columns:
-        got["phi_fibers"] = sum(generator_count(lam) for lam in enumerate_partitions(n))
-        got["gamma_fibers"] = sum(socle_count(mu) for mu in enumerate_partitions(n + 1))
-    # ok: every count column agrees and no generator count jumps by more than one
-    counts = {got[c] for c in columns[1:-1] if c != "max_jump"}
-    ok = len(counts) == 1 and got.get("max_jump", 0) <= 1
-    return [got[c] for c in columns[:-1]] + [ok]
+    if columns != _INCIDENCE_COLUMNS["jumps"]:
+        count = _confirmed_pair_count(n, count)
+    return [{"n": n, "max_jump": jump}.get(c, count) for c in columns[:-1]] + [jump <= 1]
 
 
 def cmd_incidence(args) -> tuple[dict, dict, int]:

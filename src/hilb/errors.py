@@ -30,7 +30,8 @@ class ConsistencyError(RuntimeError):
     Raised when two independently computed quantities that must agree
     (generator/socle counts, Euler-style triple counts, integrality of
     the recurrence steps) do not. Always a bug signal, never an input
-    error.
+    error: the CLI exits 1 on it, and `hilb verify` reports one raised
+    inside a check as that check's failing row, its message the detail.
     """
 
 

@@ -4,7 +4,9 @@ Every check recomputes its expected values from scratch, through closed
 forms, classical recurrences, or brute enumeration, so a failure points
 at the library rather than at the checker. Checks scale with nmax but
 cap themselves where exhaustive enumeration stops being desk-scale.
-Each check is declared once, by `_check`, with its name and scope.
+Each check is declared once, by `_check`, with its name and scope. A
+`ConsistencyError` raised inside a check, by it or by a library
+cross-check, is that check's failing row, the message its detail.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .equivariant import (
     poincare_punctual,
     tangent_weights,
 )
-from .errors import as_size
+from .errors import ConsistencyError, as_size
 from .heisenberg import (
     FockState,
     SurfaceModel,
@@ -62,14 +64,10 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-class _Counterexample(Exception):
-    pass
-
-
 def _expect(ok: bool, detail: str, *args) -> None:
     """Fail the running check unless ok; detail.format(*args) is built only then."""
     if not ok:
-        raise _Counterexample(detail.format(*args))
+        raise ConsistencyError(detail.format(*args))
 
 
 _REGISTRY: list[tuple[str, Callable[[int], CheckResult]]] = []
@@ -88,7 +86,7 @@ def _check(name: str, scope: str, **caps: Callable[[int], int]):
             where = scope.format(**sizes)
             try:
                 return CheckResult(name, where, True, body(**sizes))
-            except _Counterexample as failure:
+            except ConsistencyError as failure:
                 return CheckResult(name, where, False, str(failure))
 
         _REGISTRY.append((name, run))
@@ -370,7 +368,7 @@ def check_commutators(mk: int, depth: int) -> str:
 
 def _expect_commutators(surface: SurfaceModel, quads: list, depth: int, prefix: str) -> int:
     """Probe every quadruple on the monomials through t-weight `depth`; the probe count."""
-    probes = [FockState(surface, {mono: 1}) for mono in basis_monomials(surface, depth)]
+    probes = [FockState._of(surface, {mono: 1}) for mono in basis_monomials(surface, depth)]
     for rep in commutator_checks(surface, quads, probes):
         _expect(
             rep.passed, prefix + "[a_{}({}), a_-{}({})]", rep.m, rep.alpha, rep.k, rep.beta

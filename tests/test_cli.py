@@ -120,6 +120,12 @@ def test_betti_non_generic_rho_rejected(capsys):
     assert "non-generic" in err
 
 
+def test_betti_malformed_rho_rejected(capsys):
+    code, out, err = run(capsys, ["betti", "--space", "affine", "--n", "2", "--rho", "a,b"])
+    assert (code, out) == (2, "")
+    assert err == "error: --rho wants two comma-separated integers, got 'a,b'\n"
+
+
 @pytest.mark.parametrize("space", ["affine", "p2"])
 def test_betti_zero_rho_rejected_at_n_0(capsys, space):
     code, out, err = run(capsys, ["betti", "--space", space, "--n", "0", "--rho", "0,0"])
@@ -202,7 +208,7 @@ def test_incidence_builds_pairs_once_and_checks_the_sums(capsys, monkeypatch):
         assert code == 0 and record["payload"]["passed"] is True
         assert calls == list(range(6))
     monkeypatch.setattr(incidence, "socle_count", lambda mu: 0)
-    for check in ("euler", "all"):
+    for check in ("euler", "fibers", "all"):
         code, out, err = run(capsys, ["incidence", "--n", "3", "--check", check])
         assert (code, out) == (1, "")
         assert err == (

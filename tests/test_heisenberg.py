@@ -97,6 +97,17 @@ def test_surface_model_validation():
     assert SurfaceModel((True, 0, 1, 0, True)).betti == (1, 0, 1, 0, 1)
 
 
+def test_surface_model_refuses_asymmetric_and_negative_betti():
+    with pytest.raises(
+        ValueError, match=r"^Betti numbers must be symmetric, got \(1, 1, 1, 0, 1\)$"
+    ):
+        SurfaceModel((1, 1, 1, 0, 1))
+    with pytest.raises(
+        ValueError, match=r"^Betti numbers must be non-negative, got \(1, 0, -1, 0, 1\)$"
+    ):
+        SurfaceModel((1, 0, -1, 0, 1))
+
+
 def test_degree_two_form_is_a_lattice_of_rank_b2():
     with pytest.raises(ValueError, match="^h2 must have rank b2 = 2, got rank 1$"):
         SurfaceModel((1, 0, 2, 0, 1), IntersectionLattice(((1,),), ("h",)))

@@ -3,6 +3,7 @@
 import pytest
 
 from hilb import (
+    ConsistencyError,
     NestedPair,
     Partition,
     StrataBoundTable,
@@ -121,6 +122,23 @@ def test_strata_table_validation():
         StrataBoundTable(1, {1: 4, 0: 1})
     with pytest.raises(ValueError, match="^malformed table: bad index a$"):
         StrataBoundTable(1, {"a": 1, 1: 4})  # the type is tested before the order
+
+
+def test_strata_refusals():
+    with pytest.raises(ValueError, match="^malformed table: bad bound -1 at i=2$"):
+        StrataBoundTable(1, {1: 4, 2: -1})
+    with pytest.raises(ValueError, match=r"^malformed table: \{1: 4, 2: 2\}$"):
+        strata_propagate({1: 4, 2: 2})
+
+
+def test_gamma_fiber_dim_cross_checks_the_socle(monkeypatch):
+    from hilb import incidence
+
+    monkeypatch.setattr(incidence, "socle_count", lambda mu: 0)
+    with pytest.raises(
+        ConsistencyError, match=r"^socle/generator mismatch at \(1\): socle 0, generators 2$"
+    ):
+        gamma_fiber_dim((1,))
 
 
 def test_strata_tables_keep_their_own_bounds():

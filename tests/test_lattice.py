@@ -137,6 +137,20 @@ def test_sequence_validation():
         assert repr(seq) == "NakajimaSequence(values=(1, -2))"
 
 
+def test_empty_sequence_is_refused():
+    with pytest.raises(ValueError, match="^empty sequence$"):
+        NakajimaSequence(())
+    assert len(NakajimaSequence((1, -2, 3))) == 3
+
+
+def test_class_arithmetic_refusals():
+    lat = p2_lattice()
+    with pytest.raises(ValueError, match="^cannot add classes of different rank$"):
+        lat.cls("H") + DivisorClass((1, 0))
+    with pytest.raises(ValueError, match="^no basis class named 'E1'$"):
+        lat.cls("E1")
+
+
 coords3 = st.tuples(
     st.integers(min_value=-50, max_value=50),
     st.integers(min_value=-50, max_value=50),

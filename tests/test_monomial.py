@@ -115,6 +115,11 @@ def test_socle_count_frozen():
     assert socle_count(Partition((5, 3, 3, 1))) == 3
 
 
+def test_socle_count_refuses_the_empty_partition():
+    with pytest.raises(ValueError, match="^socle undefined for the empty partition$"):
+        socle_count(())
+
+
 def test_hilbert_burch_single_box():
     mat = hilbert_burch(Partition((1,)))
     assert len(mat.entries) == 2 and len(mat.entries[0]) == 1

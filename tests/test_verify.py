@@ -11,6 +11,7 @@ from hilb import (
     StaircaseIdeal,
     cli,
     hilbert_burch,
+    incidence,
     pentagonal_partition_count,
     poincare_affine,
     staircase,
@@ -38,6 +39,11 @@ def doubled_corner(lam):
     m = hilbert_burch(lam)
     (corner, *row), *rows = m.entries
     return m._replace(entries=((corner._replace(coeff=2 * corner.coeff), *row), *rows))
+
+
+def pairs_lost(n):
+    """euler_incidence with every nested pair lost: its three-way count raises."""
+    return incidence._confirmed_pair_count(n, 0)
 
 
 # A wrong stand-in for one library function, seen from hilb.verify, and the
@@ -71,6 +77,18 @@ BROKEN = [
     ("punctual-cells", "poincare_punctual",
      lambda n: PoincarePoly({0: pentagonal_partition_count(n) - 1, 2 * n - 2: 1}),
      "cells at n=3: 2 + q^4 != 1 + q^2 + q^4"),
+    ("jump-bound", "generator_count", lambda lam: 2 * sum(lam), "(1) -> (2)"),
+    ("tangent-weights", "tangent_weights", lambda lam, u, v: [], "count at (1)"),
+    # the right number of weights, but they move with the chart
+    pytest.param("tangent-weights", "tangent_weights", lambda lam, u, v: [u] * (2 * sum(lam)),
+                 "conjugate multiset at (1)", id="tangent-weights-swap"),
+    ("affine-closed-form", "poincare_affine", lambda n: poincare_affine(n + 1), "slice n=1"),
+    # the library's own cross-check fires, and its message is the detail
+    ("euler-incidence", "euler_incidence", pairs_lost,
+     "incidence count mismatch at n=0: pairs 0, generator sum 1, socle sum 1"),
+    ("goettsche-vs-fixed-points", "poincare_p2", poincare_affine, "slice 1"),
+    pytest.param("goettsche-vs-fixed-points", "fixed_points_p2", lambda n: [], "Euler 0",
+                 id="goettsche-vs-fixed-points-euler"),
 ]
 
 
@@ -130,6 +148,26 @@ def test_broken_library_fails_its_check(monkeypatch, check, attr, fake, detail):
     monkeypatch.setattr(verify, attr, fake)
     [bad] = run_checks(4, [check])
     assert (bad.name, bad.scope, bad.passed, bad.detail) == (check, good.scope, False, detail)
+
+
+def test_a_library_consistency_error_fails_only_its_row(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "euler_incidence", pairs_lost)
+    results = run_checks(4)
+    assert [r.name for r in results] == [name for name, _ in ALL_CHECKS]
+    assert [r.name for r in results if not r.passed] == ["euler-incidence"]
+    # the CLI prints the whole table, not one stderr line
+    code = cli.main(["verify", "--all", "--nmax", "4", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert len(out.splitlines()) == 1 + len(ALL_CHECKS)
+    assert out.count(",fail,") == 1
+
+
+def test_broken_conjugate_fails_conjugate_involution(monkeypatch):
+    # a conjugate that adds a box: twice applied, it adds two
+    monkeypatch.setattr(Partition, "conjugate", lambda lam: Partition([*lam, 1]))
+    [bad] = run_checks(4, ["conjugate-involution"])
+    assert (bad.scope, bad.passed, bad.detail) == ("n<=4", False, "failed at ()")
 
 
 def test_broken_cocovers_fail_cover_duality(monkeypatch):
