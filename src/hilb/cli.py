@@ -71,7 +71,6 @@ def cmd_betti(args) -> tuple[dict, dict, int]:
 _INCIDENCE_COLUMNS = {
     "jumps": ["n", "pairs", "max_jump", "ok"],
     "euler": ["n", "pairs", "generator_sum", "socle_sum", "ok"],
-    "fibers": ["n", "pairs", "phi_fibers", "gamma_fibers", "ok"],
     "all": ["n", "pairs", "max_jump", "generator_sum", "socle_sum", "ok"],
 }
 
@@ -262,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("incidence", cmd_incidence, "nested-pair checks up to size n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--check", choices=("jumps", "euler", "fibers", "all"), default="all"
-    )
+    p.add_argument("--check", choices=tuple(_INCIDENCE_COLUMNS), default="all")
 
     p = add("strata", cmd_strata, "generator-count strata bounds at size n")
     p.add_argument("--n", type=int, required=True)

@@ -52,22 +52,19 @@ def tangent_weights(lam, u: CharVector, v: CharVector) -> list[CharVector]:
     """The 2|lam| tangent characters at the fixed point of a chart.
 
     u and v are the characters of the two chart coordinates and must be
-    linearly independent over the rationals.
+    linearly independent over the rationals; arms and legs come from `_arm_legs`.
     """
     lam = as_partition(lam)
     u, v = _character(u, "chart character"), _character(v, "chart character")
     if u.a * v.b - u.b * v.a == 0:
         raise ValueError(f"degenerate chart: characters {u} and {v} are dependent")
-    ua, ub = u
-    va, vb = v
-    cols = lam.column_lengths()
+    (ua, ub), (va, vb) = u, v
+    width = sum(lam) + 1
     out = []
-    for r, p in enumerate(lam):
-        for c in range(p):
-            a = p - c - 1  # arm
-            l = cols[c] - r - 1  # leg, read off the conjugate
-            out.append(CharVector((a + 1) * ua - l * va, (a + 1) * ub - l * vb))
-            out.append(CharVector(-a * ua + (l + 1) * va, -a * ub + (l + 1) * vb))
+    for h in _arm_legs(lam, width):
+        a, l = divmod(h, width)
+        out.append(CharVector((a + 1) * ua - l * va, (a + 1) * ub - l * vb))
+        out.append(CharVector(-a * ua + (l + 1) * va, -a * ub + (l + 1) * vb))
     return out
 
 
@@ -190,13 +187,12 @@ class _HookLists(NamedTuple):
 
     n: int
     charts: tuple[tuple[CharVector, CharVector], ...]
-    partitions: dict[int, list[Partition]]  # chart size -> its partitions
     hooks: dict[int, list[list[int]]]  # chart size -> their coded (arm, leg) lists
     pairs: set[int]  # every distinct coded (arm, leg) pair
 
 
 def _hook_lists(space: str, n: int) -> _HookLists:
-    """The partitions of every chart size and their coded (arm, leg) lists, built once."""
+    """The coded (arm, leg) lists of the partitions of every chart size, built once."""
     n = as_size(n, 0, "length")
     if space == "affine":
         charts, sizes = (AFFINE_CHART,), (n,)
@@ -204,10 +200,9 @@ def _hook_lists(space: str, n: int) -> _HookLists:
         charts, sizes = P2_CHART_WEIGHTS, range(n, -1, -1)
     else:
         raise ValueError(f"no cell tables for space {space!r}")
-    lams = {s: enumerate_partitions(s) for s in sizes}
-    hooks = {s: [_arm_legs(lam, n + 1) for lam in ls] for s, ls in lams.items()}
+    hooks = {s: [_arm_legs(lam, n + 1) for lam in enumerate_partitions(s)] for s in sizes}
     pairs = {h for hl in hooks.values() for hs in hl for h in hs}
-    return _HookLists(n, charts, lams, hooks, pairs)
+    return _HookLists(n, charts, hooks, pairs)
 
 
 def _cell_tables_at(
@@ -233,8 +228,8 @@ def _cell_tables_at(
             neg[h] = (p1 < 0) + (p2 < 0)
         if on_wall:
             # rho is on a wall: cell_dimension raises at its first zero weight
-            for ls in shape.partitions.values():
-                for lam in ls:
+            for s in shape.hooks:
+                for lam in enumerate_partitions(s):
                     cell_dimension(tangent_weights(lam, u, v), rho)
         table: CellTable = {}
         for s, hl in shape.hooks.items():

@@ -187,7 +187,7 @@ class StratumCodim(NamedTuple):
     index: int
     bound: Optional[int]
     codim: Optional[int]
-    margin: Optional[int]  # codim - (2i - 2); non-negative when satisfied
+    margin: Optional[int]  # codim - (2i - 2); satisfied iff non-negative
     vacuous: bool
     satisfied: bool
 
@@ -195,8 +195,8 @@ class StratumCodim(NamedTuple):
 class CodimHypothesesReport(NamedTuple):
     """Blow-up criterion audit: codim >= i for i >= 2 and >= i+1 for i >= 3.
 
-    Both follow from the stronger inequality codim >= 2i - 2, which is
-    what the margin records. Empty strata are reported vacuous.
+    Satisfied means margin = codim - (2i - 2) >= 0, so codim >= i at i = 2
+    and codim >= i + 1 for i >= 3. Empty strata are reported vacuous.
     """
 
     n: int
@@ -217,8 +217,5 @@ def check_codim_hypotheses(t: StrataBoundTable) -> CodimHypothesesReport:
             continue
         codim = t.ambient_dim - b
         margin = codim - (2 * i - 2)
-        need = i if i == 2 else i + 1
-        entries.append(
-            StratumCodim(i, b, codim, margin, False, margin >= 0 and codim >= need)
-        )
+        entries.append(StratumCodim(i, b, codim, margin, False, margin >= 0))
     return CodimHypothesesReport(t.n, tuple(entries))

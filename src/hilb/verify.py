@@ -221,11 +221,8 @@ def check_tangent_weights(top: int) -> str:
 def check_affine_closed_form(top: int) -> str:
     """Cell-count polynomial vs the partition-length closed form."""
     for n in range(top + 1):
-        want: dict[int, int] = {}
-        for lam in enumerate_partitions(n):
-            d = 2 * (n - len(lam))
-            want[d] = want.get(d, 0) + 1
-        _expect(poincare_affine(n).coeffs == want, "slice n={}", n)
+        want = PoincarePoly.from_cell_dims(n - len(lam) for lam in enumerate_partitions(n))
+        _expect(poincare_affine(n) == want, "slice n={}", n)
     return "matches length statistic"
 
 

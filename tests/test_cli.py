@@ -181,14 +181,30 @@ def test_incidence_all(capsys):
 
 
 def test_incidence_specific_checks(capsys):
-    for check, columns in (
-        ("jumps", ["n", "pairs", "max_jump", "ok"]),
-        ("euler", ["n", "pairs", "generator_sum", "socle_sum", "ok"]),
-        ("fibers", ["n", "pairs", "phi_fibers", "gamma_fibers", "ok"]),
-    ):
+    expected = {
+        "jumps": ["n", "pairs", "max_jump", "ok"],
+        "euler": ["n", "pairs", "generator_sum", "socle_sum", "ok"],
+        "all": ["n", "pairs", "max_jump", "generator_sum", "socle_sum", "ok"],
+    }
+    assert cli._INCIDENCE_COLUMNS == expected
+    for check in cli._INCIDENCE_COLUMNS:
         code, record = run_json(capsys, ["incidence", "--n", "4", "--check", check])
         assert code == 0
-        assert record["payload"]["columns"] == columns
+        assert record["payload"]["columns"] == expected[check]
+
+
+def test_incidence_check_choices_are_the_column_modes(capsys):
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if a.dest == "command"]
+    [check] = [a for a in sub.choices["incidence"]._actions if a.dest == "check"]
+    assert list(check.choices) == list(cli._INCIDENCE_COLUMNS)
+    # a mode outside the table is argparse's usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["incidence", "--n", "4", "--check", "fibers"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'fibers'" in captured.err
 
 
 def test_incidence_builds_pairs_once_and_checks_the_sums(capsys, monkeypatch):
@@ -202,13 +218,13 @@ def test_incidence_builds_pairs_once_and_checks_the_sums(capsys, monkeypatch):
         return original(n)
 
     monkeypatch.setattr(incidence, "nested_pairs", counted)
-    for check in ("jumps", "euler", "fibers", "all"):
+    for check in cli._INCIDENCE_COLUMNS:
         calls.clear()
         code, record = run_json(capsys, ["incidence", "--n", "5", "--check", check])
         assert code == 0 and record["payload"]["passed"] is True
         assert calls == list(range(6))
     monkeypatch.setattr(incidence, "socle_count", lambda mu: 0)
-    for check in ("euler", "fibers", "all"):
+    for check in [c for c in cli._INCIDENCE_COLUMNS if c != "jumps"]:
         code, out, err = run(capsys, ["incidence", "--n", "3", "--check", check])
         assert (code, out) == (1, "")
         assert err == (

@@ -192,12 +192,23 @@ def test_codim_hypotheses_hold_to_40():
 
 
 def test_codim_failure_detected():
-    # a fabricated table whose stratum 3 is one dimension too big
-    bad = StrataBoundTable(2, {1: 6, 2: 4, 3: 4})
-    report = check_codim_hypotheses(bad)
-    assert not report.all_satisfied
-    failing = [e for e in report.entries if not e.satisfied]
-    assert [e.index for e in failing] == [3]
+    # an entry is satisfied exactly when its margin codim - (2i - 2) is >= 0
+    for bad, failing in (
+        # stratum 3 is two dimensions too big: margin -2
+        (StrataBoundTable(2, {1: 6, 2: 4, 3: 4}), [3]),
+        # stratum 2 has codim 1 < 2: margin -1
+        (StrataBoundTable(2, {1: 6, 2: 5, 3: 2}), [2]),
+        # only stratum 3 fails, codim 3 < 4; strata 2 and 4 sit at margin 0
+        (StrataBoundTable(3, {1: 8, 2: 6, 3: 5, 4: 2}), [3]),
+    ):
+        report = check_codim_hypotheses(bad)
+        assert not report.all_satisfied
+        for e in report.entries:
+            if e.vacuous:
+                assert e.satisfied and e.margin is None
+            else:
+                assert e.satisfied == (e.margin >= 0)
+        assert [e.index for e in report.entries if not e.satisfied] == failing, bad
 
 
 def test_strata_bounds_closed_form_to_300():

@@ -1,6 +1,7 @@
 """The check registry behind `hilb verify`: caps, order, errors and failure paths."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,18 @@ def test_check_passes_at_its_cap(check, nmax, scope):
     [result] = run_checks(nmax, [check])
     assert result.passed, result.detail
     assert result.scope == scope
+
+
+def test_checks_match_the_bench_goldens():
+    # the benchmark's record of every verify-suite task: name, scope, outcome, detail
+    goldens = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
+    entries = json.loads(goldens.read_text())["verify-suite"]
+    assert len(entries) == 31
+    for key, want in entries.items():
+        nmax, name = key.split()
+        [result] = run_checks(int(nmax), [name])
+        assert result.name == name, key
+        assert [result.scope, result.passed, result.detail] == want, key
 
 
 def test_every_check_runs_at_its_cap():
