@@ -5,7 +5,9 @@ parameters (including the one-parameter subgroup actually used, so
 chamber choices are auditable), an integer-exact payload, and the
 package version. Formats: aligned text table (default), JSON with
 sorted keys, or CSV of the payload table. Output is byte-identical
-across runs; there is no floating point anywhere.
+across runs; there is no floating point anywhere. Each handler returns
+`(parameters, payload)`, and `main` picks the exit code: 1 when the
+payload's verdict (`passed`, or `all_equal`) is false.
 """
 
 from __future__ import annotations
@@ -33,16 +35,16 @@ def _int_list(raw: str, count: int, wanted: str) -> tuple[int, ...]:
     raise ValueError(f"{wanted} comma-separated integers, got {raw!r}")
 
 
-def cmd_partitions(args) -> tuple[dict, dict, int]:
+def cmd_partitions(args) -> tuple[dict, dict]:
     from .partitions import enumerate_partitions
 
     lams = enumerate_partitions(as_size(args.n, 0, "--n"))
     rows = [[i, str(lam)] for i, lam in enumerate(lams)]
     payload = {"count": len(lams), "columns": ["index", "partition"], "rows": rows}
-    return {"n": args.n}, payload, 0
+    return {"n": args.n}, payload
 
 
-def cmd_betti(args) -> tuple[dict, dict, int]:
+def cmd_betti(args) -> tuple[dict, dict]:
     from .equivariant import CharVector, cell_tables, poincare_from_tables, poincare_punctual
 
     n = as_size(args.n, 0, "--n")
@@ -65,7 +67,7 @@ def cmd_betti(args) -> tuple[dict, dict, int]:
         "columns": ["degree", "coefficient"],
         "rows": rows,
     }
-    return params, payload, 0
+    return params, payload
 
 
 _INCIDENCE_COLUMNS = {
@@ -97,16 +99,15 @@ def _incidence_row(n: int, columns: list[str]) -> list:
     return [{"n": n, "max_jump": jump}.get(c, count) for c in columns[:-1]] + [jump <= 1]
 
 
-def cmd_incidence(args) -> tuple[dict, dict, int]:
+def cmd_incidence(args) -> tuple[dict, dict]:
     as_size(args.n, 0, "--n")
     columns = _INCIDENCE_COLUMNS[args.check]
     rows = [_incidence_row(n, columns) for n in range(args.n + 1)]
-    all_ok = all(r[-1] for r in rows)
-    payload = {"passed": all_ok, "columns": columns, "rows": rows}
-    return {"n": args.n, "check": args.check}, payload, 0 if all_ok else 1
+    payload = {"passed": all(r[-1] for r in rows), "columns": columns, "rows": rows}
+    return {"n": args.n, "check": args.check}, payload
 
 
-def cmd_strata(args) -> tuple[dict, dict, int]:
+def cmd_strata(args) -> tuple[dict, dict]:
     from .incidence import check_codim_hypotheses, strata_table
 
     t = strata_table(as_size(args.n, 1, "--n"))
@@ -135,10 +136,10 @@ def cmd_strata(args) -> tuple[dict, dict, int]:
         "columns": ["i", "bound", "cap", "codim", "margin", "status"],
         "rows": rows,
     }
-    return {"n": args.n}, payload, 0 if report.all_satisfied else 1
+    return {"n": args.n}, payload
 
 
-def cmd_nakajima(args) -> tuple[dict, dict, int]:
+def cmd_nakajima(args) -> tuple[dict, dict]:
     from .lattice import nakajima_closed_form, nakajima_recurrence
 
     as_size(args.n, 1, "--n")
@@ -155,10 +156,10 @@ def cmd_nakajima(args) -> tuple[dict, dict, int]:
         payload["all_equal"] = all(table["equal"])
     payload["columns"] = list(table)
     payload["rows"] = [list(row) for row in zip(*table.values())]
-    return params, payload, 0 if payload.get("all_equal", True) else 1
+    return params, payload
 
 
-def cmd_lattice(args) -> tuple[dict, dict, int]:
+def cmd_lattice(args) -> tuple[dict, dict]:
     from .lattice import blow_up, exceptional_total_square, p2_lattice
 
     as_size(args.blowup, 0, "--blowup")
@@ -172,7 +173,7 @@ def cmd_lattice(args) -> tuple[dict, dict, int]:
             "columns": ["quantity", "value"],
             "rows": [["exceptional_square", square]],
         }
-        return params, payload, 0
+        return params, payload
     blown = blow_up(p2_lattice(), args.blowup)
     # gram builds the dense matrix on each access, so read it once
     rows = [[label, *row] for label, row in zip(blown.labels, blown.gram)]
@@ -181,10 +182,10 @@ def cmd_lattice(args) -> tuple[dict, dict, int]:
         "columns": ["class"] + list(blown.labels),
         "rows": rows,
     }
-    return params, payload, 0
+    return params, payload
 
 
-def cmd_goettsche(args) -> tuple[dict, dict, int]:
+def cmd_goettsche(args) -> tuple[dict, dict]:
     from .heisenberg import SurfaceModel, goettsche_series
 
     betti = _int_list(args.betti, 5, "--betti wants five")
@@ -195,7 +196,7 @@ def cmd_goettsche(args) -> tuple[dict, dict, int]:
     rows = [[n, series.slice_str(n), series.u_one(n)] for n in range(args.torder + 1)]
     payload = {"columns": ["n", "slice", "euler"], "rows": rows}
     if not args.compare_fixed_points:
-        return params, payload, 0
+        return params, payload
     if betti != (1, 0, 1, 0, 1):
         raise ValueError(
             "--compare-fixed-points needs the projective-plane Betti "
@@ -208,10 +209,10 @@ def cmd_goettsche(args) -> tuple[dict, dict, int]:
         row.append(series.t_slice(n) == poincare_p2(n).coeffs if n <= top else "-")
     payload["columns"].append("matches_fixed_points")
     payload["passed"] = all(row[-1] for row in rows[: top + 1])
-    return params, payload, 0 if payload["passed"] else 1
+    return params, payload
 
 
-def cmd_verify(args) -> tuple[dict, dict, int]:
+def cmd_verify(args) -> tuple[dict, dict]:
     from .verify import run_checks
 
     if not args.all:
@@ -227,7 +228,7 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
         "columns": ["check", "scope", "status", "detail"],
         "rows": rows,
     }
-    return {"nmax": args.nmax, "all": True}, payload, 0 if not failures else 1
+    return {"nmax": args.nmax, "all": True}, payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +345,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        parameters, payload, code = args.handler(args)
+        parameters, payload = args.handler(args)
     except ConsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
         # the reader closed stdout early: stop writing, and send what is
         # still buffered to devnull so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return code
+    return 0 if payload.get("passed", payload.get("all_equal", True)) else 1
 
 
 def entrypoint() -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .common import DivisorClass, IntersectionLattice, Record
-from .errors import ConsistencyError, as_size
+from .errors import ConsistencyError, as_int, as_size
 
 # DivisorClass and IntersectionLattice live in the leaf module common, so
 # the series layer takes a form without loading this one; both stay here too.
@@ -80,7 +80,7 @@ class NakajimaSequence(Record):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]):
-        values = tuple(values)
+        values = tuple(as_int(v, "Nakajima constants must be integers") for v in values)
         if not values:
             raise ValueError("empty sequence")
         if values[0] != 1:

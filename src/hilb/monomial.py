@@ -204,10 +204,10 @@ class HilbertBurchMatrix(NamedTuple):
         return tuple(out)
 
     def matches_generators(self) -> bool:
-        """Every maximal minor equals its row's generator up to sign."""
-        return all(
-            t.monomial == g and t.coeff in (1, -1)
-            for t, g in zip(self.maximal_minors(), self.generators)
+        """One maximal minor per row, each its row's generator up to sign."""
+        minors = self.maximal_minors()
+        return len(minors) == self.rows and all(
+            t.monomial == g and t.coeff in (1, -1) for t, g in zip(minors, self.generators)
         )
 
     def __str__(self) -> str:

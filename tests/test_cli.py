@@ -9,7 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from hilb import IntersectionLattice, __version__, cli, verify
+from hilb import (
+    IntersectionLattice,
+    StrataBoundTable,
+    __version__,
+    cli,
+    equivariant,
+    incidence,
+    lattice,
+    monomial,
+    poincare_affine,
+    verify,
+)
 from test_startup import child_env
 
 
@@ -304,6 +315,29 @@ def test_verify_small(capsys):
     statuses = {row[0]: row[2] for row in payload["rows"]}
     assert set(statuses.values()) == {"pass"}
     assert list(statuses) == [name for name, _ in verify.ALL_CHECKS]
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, argv, verdict",
+    [
+        (monomial, "generator_count", lambda lam: 2 * sum(lam),
+         "incidence --n 3 --check jumps", "passed"),
+        (incidence, "strata_table", lambda n: StrataBoundTable(2, {1: 6, 2: 4, 3: 4}),
+         "strata --n 2", "passed"),
+        (lattice, "nakajima_closed_form", lambda n: 0,
+         "nakajima --n 4 --method both", "all_equal"),
+        (equivariant, "poincare_p2", poincare_affine,
+         "goettsche --betti 1,0,1,0,1 --torder 3 --compare-fixed-points", "passed"),
+    ],
+    ids=["incidence", "strata", "nakajima", "goettsche"],
+)
+def test_false_verdict_exits_1(capsys, monkeypatch, module, name, fake, argv, verdict):
+    # a broken library function turns the printed verdict false, and that
+    # verdict alone makes the exit code 1; nothing raises, stderr stays empty
+    monkeypatch.setattr(module, name, fake)
+    code, record = run_json(capsys, argv.split())
+    assert code == 1
+    assert record["payload"][verdict] is False
 
 
 def test_verify_requires_all_flag(capsys):

@@ -135,6 +135,13 @@ def test_sequence_validation():
         seq = NakajimaSequence(given)
         assert seq == NakajimaSequence((1, -2)) and hash(seq) == hash(NakajimaSequence((1, -2)))
         assert repr(seq) == "NakajimaSequence(values=(1, -2))"
+    # constants are integers: a float or a string is an input error, not a
+    # failed identity, and a bool is stored as the int it stands for
+    for bad, shown in ((1.0, "1.0"), ("1", "'1'"), (None, "None")):
+        with pytest.raises(ValueError, match=f"^Nakajima constants must be integers, got {shown}$"):
+            NakajimaSequence((bad, -2))
+    seq = NakajimaSequence((True, -2))
+    assert seq.values == (1, -2) and type(seq.values[0]) is int
 
 
 def test_empty_sequence_is_refused():

@@ -134,10 +134,6 @@ def test_conjugate_frozen():
 def test_conjugate_involution_and_transpose():
     for n in range(21):
         for lam in enumerate_partitions(n):
-            assert lam.conjugate().conjugate() == lam
-            assert lam.conjugate().size == lam.size
-    for n in range(11):
-        for lam in enumerate_partitions(n):
             assert lam.conjugate().parts == brute_conjugate(lam)
 
 
@@ -187,22 +183,6 @@ def test_cocovers_frozen():
     assert [p.parts for p in Partition((2, 1)).cocovers()] == [(1, 1), (2,)]
     with pytest.raises(ValueError, match="no cocovers"):
         Partition().cocovers()
-
-
-def test_cover_counts_and_duality():
-    for n in range(21):
-        for lam in enumerate_partitions(n):
-            ups = lam.covers()
-            assert len(ups) == lam.distinct_part_count() + 1
-            for mu in ups:
-                assert mu.size == n + 1
-                assert mu.contains(lam)
-                assert lam in mu.cocovers()
-            if lam:
-                downs = lam.cocovers()
-                assert len(downs) == lam.distinct_part_count()
-                for nu in downs:
-                    assert lam in nu.covers()
 
 
 def test_covers_against_brute_force():

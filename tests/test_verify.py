@@ -7,6 +7,7 @@ import pytest
 
 from hilb import (
     CommutatorReport,
+    HilbertBurchMatrix,
     Partition,
     PoincarePoly,
     StaircaseIdeal,
@@ -174,6 +175,14 @@ def test_a_library_consistency_error_fails_only_its_row(monkeypatch, capsys):
     assert (code, err) == (1, "")
     assert len(out.splitlines()) == 1 + len(ALL_CHECKS)
     assert out.count(",fail,") == 1
+
+
+def test_short_minor_list_fails_hilbert_burch(monkeypatch):
+    # every minor left still matches its row; only the count sees the loss
+    real = HilbertBurchMatrix.maximal_minors
+    monkeypatch.setattr(HilbertBurchMatrix, "maximal_minors", lambda m: real(m)[:-1])
+    [bad] = run_checks(4, ["hilbert-burch"])
+    assert (bad.scope, bad.passed, bad.detail) == ("n<=4", False, "failed at (1)")
 
 
 def test_broken_conjugate_fails_conjugate_involution(monkeypatch):
