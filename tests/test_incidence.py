@@ -193,15 +193,24 @@ def test_codim_failure_detected():
         assert [e.index for e in report.entries if not e.satisfied] == failing, bad
 
 
+def test_strata_table_equals_public_steps():
+    # the closed form is what the public one-step rule gives, key order too
+    t = strata_base()
+    for n in range(1, 121):
+        got = strata_table(n)
+        assert got == t
+        assert list(got.bounds.items()) == list(t.bounds.items())
+        t = strata_propagate(t)
+
+
 def test_strata_bounds_closed_form_to_300():
-    # propagating from the base meets the closed form 2n + 4 - 2i exactly,
-    # and strata_table writes it down with the same key order
+    # propagating from the base meets the closed form 2n + 4 - 2i exactly
     t = strata_base()
     for n in range(1, 301):
         assert t.n == n
         assert t.bounds == {i: 2 * n + 4 - 2 * i for i in range(1, n + 2)}
-        assert list(strata_table(n).bounds.items()) == list(t.bounds.items())
         t = strata_propagate(t)
+    assert strata_table(300).bounds == {i: 604 - 2 * i for i in range(1, 302)}
 
 
 def test_strata_propagate_skips_empty_strata():
