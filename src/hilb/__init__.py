@@ -25,6 +25,7 @@ _EXPORTS = {
         "Partition",
         "as_partition",
         "enumerate_partitions",
+        "iter_partitions",
         "pentagonal_partition_count",
     ),
     "monomial": (

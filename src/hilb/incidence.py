@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple, Optional
 from .common import Record
 from .errors import ConsistencyError, as_size
 from .monomial import generator_count, socle_count
-from .partitions import Partition, as_partition, enumerate_partitions
+from .partitions import Partition, as_partition, enumerate_partitions, iter_partitions
 
 
 class NestedPair(Record):
@@ -75,16 +75,24 @@ def gamma_fiber_dim(mu) -> int:
 def euler_incidence(n: int) -> int:
     """Fixed-point count of the nested scheme, verified three ways.
 
-    Pairs, summed generator counts at size n, and summed socle counts at
-    size n+1 must agree; disagreement raises ConsistencyError.
+    The pairs over each lambda of n are its covers, so they are counted,
+    as the sum of len(lambda.covers()), and not built. That count, summed
+    generator counts at size n, and summed socle counts at size n+1 must
+    agree; disagreement raises ConsistencyError. The partitions of n are
+    enumerated once, for the cover count and the generator sum.
     """
-    return _confirmed_pair_count(n, len(nested_pairs(n)))
+    n = as_size(n, 0, "length")
+    lams = enumerate_partitions(n)
+    return _confirmed_pair_count(n, lams, sum(len(lam.covers()) for lam in lams))
 
 
-def _confirmed_pair_count(n: int, pair_count: int) -> int:
-    """pair_count, once the generator and socle sums at n agree with it."""
-    gen_sum = sum(generator_count(lam) for lam in enumerate_partitions(n))
-    socle_sum = sum(socle_count(mu) for mu in enumerate_partitions(n + 1))
+def _confirmed_pair_count(n: int, lams: list[Partition], pair_count: int) -> int:
+    """pair_count, once the generator and socle sums agree with it.
+
+    lams is enumerate_partitions(n); the partitions of n + 1 are streamed.
+    """
+    gen_sum = sum(map(generator_count, lams))
+    socle_sum = sum(map(socle_count, iter_partitions(n + 1)))
     if not pair_count == gen_sum == socle_sum:
         raise ConsistencyError(
             f"incidence count mismatch at n={n}: pairs {pair_count}, "

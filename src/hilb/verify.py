@@ -264,8 +264,18 @@ def check_punctual(top: int) -> str:
 
 @_check("euler-incidence", "n<={top}", top=lambda nmax: min(nmax, 20))
 def check_euler_incidence(top: int) -> str:
+    """Nested-pair count vs the running sum of p(k) over k <= n.
+
+    A lambda of n has one cover per distinct part plus one, and the
+    distinct parts of all lambda of n number p(0) + ... + p(n - 1), so
+    the pairs number p(0) + ... + p(n). euler_incidence confirms its
+    count three ways and raises ConsistencyError on a mismatch.
+    """
+    want = 0
     for n in range(top + 1):
-        euler_incidence(n)  # raises ConsistencyError on mismatch
+        want += pentagonal_partition_count(n)
+        got = euler_incidence(n)
+        _expect(got == want, "n={}: {} pairs, p(0) + ... + p({}) = {}", n, got, n, want)
     return "pairs = generator sum = socle sum"
 
 

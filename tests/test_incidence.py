@@ -84,6 +84,26 @@ def test_euler_incidence_range():
         )
 
 
+def test_euler_incidence_counts_covers_and_enumerates_n_once(monkeypatch):
+    from hilb import incidence
+
+    def no_pairs(lower, upper):
+        raise AssertionError(f"built a NestedPair {lower} -> {upper}")
+
+    sizes = []
+
+    def counted(n):
+        sizes.append(n)
+        return enumerate_partitions(n)
+
+    monkeypatch.setattr(incidence, "NestedPair", no_pairs)
+    monkeypatch.setattr(incidence, "enumerate_partitions", counted)
+    for n, pairs in ((0, 1), (5, 19), (12, 272)):
+        sizes.clear()
+        assert euler_incidence(n) == pairs
+        assert sizes == [n]
+
+
 def test_strata_base_frozen():
     table = strata_base()
     assert table.n == 1

@@ -12,6 +12,7 @@ from hilb import (
     PoincarePoly,
     StaircaseIdeal,
     cli,
+    enumerate_partitions,
     hilbert_burch,
     incidence,
     pentagonal_partition_count,
@@ -45,7 +46,7 @@ def doubled_corner(lam):
 
 def pairs_lost(n):
     """euler_incidence with every nested pair lost: its three-way count raises."""
-    return incidence._confirmed_pair_count(n, 0)
+    return incidence._confirmed_pair_count(n, enumerate_partitions(n), 0)
 
 
 # A wrong stand-in for one library function, seen from hilb.verify, and the
@@ -88,6 +89,9 @@ BROKEN = [
     # the library's own cross-check fires, and its message is the detail
     ("euler-incidence", "euler_incidence", pairs_lost,
      "incidence count mismatch at n=0: pairs 0, generator sum 1, socle sum 1"),
+    # a count the three routes never see: one extra pair at every n
+    pytest.param("euler-incidence", "euler_incidence", lambda n: incidence.euler_incidence(n) + 1,
+                 "n=0: 2 pairs, p(0) + ... + p(0) = 1", id="euler-incidence-sum"),
     ("goettsche-vs-fixed-points", "poincare_p2", poincare_affine, "slice 1"),
     pytest.param("goettsche-vs-fixed-points", "fixed_points_p2", lambda n: [], "Euler 0",
                  id="goettsche-vs-fixed-points-euler"),
@@ -175,6 +179,18 @@ def test_a_library_consistency_error_fails_only_its_row(monkeypatch, capsys):
     assert (code, err) == (1, "")
     assert len(out.splitlines()) == 1 + len(ALL_CHECKS)
     assert out.count(",fail,") == 1
+
+
+def test_euler_incidence_compares_every_count_up_to_its_cap(monkeypatch):
+    # one extra pair above n = 10 only, past the nmax of the BROKEN rows
+    real = incidence.euler_incidence
+    monkeypatch.setattr(verify, "euler_incidence", lambda n: real(n) + (n > 10))
+    [good] = run_checks(10, ["euler-incidence"])
+    assert good.passed
+    [bad] = run_checks(20, ["euler-incidence"])
+    assert (bad.scope, bad.passed, bad.detail) == (
+        "n<=20", False, "n=11: 196 pairs, p(0) + ... + p(11) = 195"
+    )
 
 
 def test_short_minor_list_fails_hilbert_burch(monkeypatch):
