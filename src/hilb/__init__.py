@@ -25,7 +25,6 @@ _EXPORTS = {
         "Partition",
         "as_partition",
         "enumerate_partitions",
-        "iter_partitions",
         "pentagonal_partition_count",
     ),
     "monomial": (

@@ -86,7 +86,6 @@ def _incidence_row(n: int, columns: list[str]) -> list:
     """
     from .incidence import _confirmed_pair_count, nested_pairs
     from .monomial import generator_count
-    from .partitions import enumerate_partitions
 
     prs = nested_pairs(n)
     count, jump = len(prs), 0
@@ -96,7 +95,7 @@ def _incidence_row(n: int, columns: list[str]) -> list:
             default=0,
         )
     if columns != _INCIDENCE_COLUMNS["jumps"]:
-        count = _confirmed_pair_count(n, enumerate_partitions(n), count)
+        count = _confirmed_pair_count(n, lambda lams: count)
     return [{"n": n, "max_jump": jump}.get(c, count) for c in columns[:-1]] + [jump <= 1]
 
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect
-from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
@@ -557,7 +556,7 @@ def commutator_checks(
             for p in probes
         ]
     monos = [mono for probe in terms for mono in probe]
-    slots = dict.fromkeys(chain.from_iterable(monos))
+    slots = dict.fromkeys(factor for mono in monos for factor in mono)
     slots.update(dict.fromkeys((k, beta) for _, k, _, beta, _, _ in checked))
     bits = (max(map(len, monos), default=0) + 1).bit_length()
     unit = {factor: 1 << i * bits for i, factor in enumerate(slots)}

@@ -19,12 +19,12 @@ strata_table writes it down directly.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .common import Record
 from .errors import ConsistencyError, as_size
 from .monomial import generator_count, socle_count
-from .partitions import Partition, as_partition, enumerate_partitions, iter_partitions
+from .partitions import Partition, as_partition, enumerate_partitions
 
 
 class NestedPair(Record):
@@ -78,21 +78,22 @@ def euler_incidence(n: int) -> int:
     The pairs over each lambda of n are its covers, so they are counted,
     as the sum of len(lambda.covers()), and not built. That count, summed
     generator counts at size n, and summed socle counts at size n+1 must
-    agree; disagreement raises ConsistencyError. The partitions of n are
-    enumerated once, for the cover count and the generator sum.
+    agree; disagreement raises ConsistencyError.
+    """
+    return _confirmed_pair_count(n, lambda lams: sum(len(lam.covers()) for lam in lams))
+
+
+def _confirmed_pair_count(n: int, count_pairs: Callable[[list[Partition]], int]) -> int:
+    """count_pairs(partitions of n), once the generator and socle sums agree with it.
+
+    The partitions of n are enumerated once, for count_pairs and the
+    generator sum.
     """
     n = as_size(n, 0, "length")
     lams = enumerate_partitions(n)
-    return _confirmed_pair_count(n, lams, sum(len(lam.covers()) for lam in lams))
-
-
-def _confirmed_pair_count(n: int, lams: list[Partition], pair_count: int) -> int:
-    """pair_count, once the generator and socle sums agree with it.
-
-    lams is enumerate_partitions(n); the partitions of n + 1 are streamed.
-    """
+    pair_count = count_pairs(lams)
     gen_sum = sum(map(generator_count, lams))
-    socle_sum = sum(map(socle_count, iter_partitions(n + 1)))
+    socle_sum = sum(map(socle_count, enumerate_partitions(n + 1)))
     if not pair_count == gen_sum == socle_sum:
         raise ConsistencyError(
             f"incidence count mismatch at n={n}: pairs {pair_count}, "

@@ -120,13 +120,9 @@ class Partition(tuple):
         while r < len(self):
             # r is the top row of its run of equal parts: the run's corner
             p = self[r]
-            parts = list(self)
-            parts[r] = p + 1
-            out.append(_shaped(parts))
+            out.append(_shaped([*self[:r], p + 1, *self[r + 1 :]]))
             r += self.count(p)
-        parts = list(self)
-        parts.append(1)
-        out.append(_shaped(parts))
+        out.append(_shaped([*self, 1]))
         return out
 
     def cocovers(self) -> list["Partition"]:
@@ -176,16 +172,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
 
     enumerate_partitions(3) gives (3), (2,1), (1,1,1).
     """
-    return list(iter_partitions(n))
-
-
-def iter_partitions(n: int) -> Iterator[Partition]:
-    """The partitions of enumerate_partitions(n), one at a time.
-
-    The size is checked at the call; each partition is built as it is
-    read, so next(iter_partitions(80)) lists none of the others.
-    """
-    return map(_shaped, _descending_lex(as_size(n, 0, "partition size")))
+    return list(map(_shaped, _descending_lex(as_size(n, 0, "partition size"))))
 
 
 def _descending_lex(n: int) -> Iterator[list[int]]:

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hilb.partitions
-from hilb import (
-    Partition,
-    enumerate_partitions,
-    generator_count,
-    iter_partitions,
-    pentagonal_partition_count,
-)
+from hilb import Partition, enumerate_partitions, generator_count, pentagonal_partition_count
 
 
 def dp_partition_count(n):
@@ -103,17 +97,6 @@ def test_enumerate_small_frozen():
     ]
     with pytest.raises(ValueError):
         enumerate_partitions(-1)
-
-
-def test_iter_partitions_streams_the_enumeration():
-    for n in range(21):
-        assert list(iter_partitions(n)) == enumerate_partitions(n)
-    # the size is checked at the call, before the first partition is read
-    with pytest.raises(ValueError, match="^partition size must be at least 0, got -1$"):
-        iter_partitions(-1)
-    # p(80) is about 15.8 million: the first one comes without the rest
-    first = next(iter_partitions(80))
-    assert type(first) is Partition and first == Partition((80,))
 
 
 def test_count_ten_is_42():
