@@ -14,10 +14,9 @@ from hilb import (
     Partition,
     check_codim_hypotheses,
     euler_incidence,
-    gamma_fiber_dim,
     generator_count,
     nested_pairs,
-    phi_fiber_dim,
+    socle_count,
     strata_base,
     strata_propagate,
     strata_table,
@@ -40,11 +39,13 @@ for n in range(9):
 
 print()
 print("=== Fiber dimensions of the two projections ===")
+# growing picks one generator to extend, shrinking one socle box to drop:
+# projective spaces of dimension generator count - 1 and socle count - 1
 for parts in ((1,), (3,), (2, 1), (4, 4, 2)):
     lam = Partition(parts)
     print(
-        f"  {str(lam):10} growing: P^{phi_fiber_dim(lam)}   "
-        f"shrinking: P^{gamma_fiber_dim(lam)}"
+        f"  {str(lam):10} growing: P^{generator_count(lam) - 1}   "
+        f"shrinking: P^{socle_count(lam) - 1}"
     )
 
 print()

@@ -59,9 +59,7 @@ _EXPORTS = {
         "StratumCodim",
         "check_codim_hypotheses",
         "euler_incidence",
-        "gamma_fiber_dim",
         "nested_pairs",
-        "phi_fiber_dim",
         "strata_base",
         "strata_propagate",
         "strata_table",

@@ -80,22 +80,18 @@ _INCIDENCE_COLUMNS = {
 def _incidence_row(n: int, columns: list[str]) -> list:
     """One `incidence` row; `ok` is the jump bound, computed only if shown.
 
-    Every mode but `jumps` shows the pair count once `_confirmed_pair_count`
-    has matched it to the generator and socle sums; a mismatch raises
-    ConsistencyError, exit 1 (under `hilb verify`, a failing row).
+    Every mode but `jumps` shows `euler_incidence(n)`, the pair count once
+    matched to the generator and socle sums; a mismatch raises
+    ConsistencyError, exit 1. Validated pairs are built only for `max_jump`.
     """
-    from .incidence import _confirmed_pair_count, nested_pairs
+    from .incidence import euler_incidence, nested_pairs
     from .monomial import generator_count
 
-    prs = nested_pairs(n)
-    count, jump = len(prs), 0
-    if "max_jump" in columns:
-        jump = max(
-            (abs(generator_count(p.upper) - generator_count(p.lower)) for p in prs),
-            default=0,
-        )
-    if columns != _INCIDENCE_COLUMNS["jumps"]:
-        count = _confirmed_pair_count(n, lambda lams: count)
+    prs = nested_pairs(n) if "max_jump" in columns else []
+    jump = max(
+        (abs(generator_count(p.upper) - generator_count(p.lower)) for p in prs), default=0
+    )
+    count = len(prs) if columns == _INCIDENCE_COLUMNS["jumps"] else euler_incidence(n)
     return [{"n": n, "max_jump": jump}.get(c, count) for c in columns[:-1]] + [jump <= 1]
 
 

@@ -3,8 +3,9 @@
 The incidence variety of nested subschemes of lengths (n, n+1) projects
 to both Hilbert schemes. Over a fixed point its fibers are projective
 spaces whose dimensions are read off the staircase: generator count
-minus one downstairs, socle count minus one upstairs. Counting fixed
-points three ways gives the Euler cross-check.
+minus one downstairs, socle count minus one upstairs. A fiber P^k holds
+k + 1 fixed points, so the generator sum at size n and the socle sum at
+size n+1 both count the nested pairs: the three-way Euler cross-check.
 
 Stratifying by the local generator count i, the dimension of each
 stratum is bounded by bound(i, n) = 2n + 4 - 2i for 1 <= i <= n + 1. The
@@ -19,7 +20,7 @@ strata_table writes it down directly.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .common import Record
 from .errors import ConsistencyError, as_size
@@ -50,48 +51,18 @@ def nested_pairs(n: int) -> list[NestedPair]:
     ]
 
 
-def phi_fiber_dim(lam) -> int:
-    """Dimension of the fiber over the smaller subscheme plus a point.
-
-    The fiber is the projectivized space of local ideal generators, so
-    generator count minus one: zero for the empty partition, the ideal
-    at a point off the support.
-    """
-    return generator_count(lam) - 1
-
-
-def gamma_fiber_dim(mu) -> int:
-    """Dimension of the fiber over the larger subscheme: socle count minus one."""
-    mu = as_partition(mu)
-    s = socle_count(mu)
-    g = generator_count(mu)
-    if s - 1 != g - 2:
-        raise ConsistencyError(
-            f"socle/generator mismatch at {mu}: socle {s}, generators {g}"
-        )
-    return s - 1
-
-
 def euler_incidence(n: int) -> int:
     """Fixed-point count of the nested scheme, verified three ways.
 
     The pairs over each lambda of n are its covers, so they are counted,
     as the sum of len(lambda.covers()), and not built. That count, summed
     generator counts at size n, and summed socle counts at size n+1 must
-    agree; disagreement raises ConsistencyError.
-    """
-    return _confirmed_pair_count(n, lambda lams: sum(len(lam.covers()) for lam in lams))
-
-
-def _confirmed_pair_count(n: int, count_pairs: Callable[[list[Partition]], int]) -> int:
-    """count_pairs(partitions of n), once the generator and socle sums agree with it.
-
-    The partitions of n are enumerated once, for count_pairs and the
-    generator sum.
+    agree; disagreement raises ConsistencyError. The partitions of n are
+    enumerated once, for the pair count and the generator sum.
     """
     n = as_size(n, 0, "length")
     lams = enumerate_partitions(n)
-    pair_count = count_pairs(lams)
+    pair_count = sum(len(lam.covers()) for lam in lams)
     gen_sum = sum(map(generator_count, lams))
     socle_sum = sum(map(socle_count, enumerate_partitions(n + 1)))
     if not pair_count == gen_sum == socle_sum:

@@ -1,19 +1,15 @@
-"""Nested pairs, fiber dimensions, Euler triple count, strata bounds."""
+"""Nested pairs, Euler triple count, strata bounds."""
 
 import pytest
 
 from hilb import (
-    ConsistencyError,
     NestedPair,
     Partition,
     StrataBoundTable,
     check_codim_hypotheses,
     enumerate_partitions,
     euler_incidence,
-    gamma_fiber_dim,
-    generator_count,
     nested_pairs,
-    phi_fiber_dim,
     socle_count,
     strata_base,
     strata_propagate,
@@ -47,24 +43,6 @@ def test_nested_pairs_frozen():
         ((1, 1), (2, 1)),
         ((1, 1), (1, 1, 1)),
     ]
-
-
-def test_fiber_dims_frozen():
-    assert phi_fiber_dim(Partition((1,))) == 1
-    assert phi_fiber_dim(Partition((2, 1))) == 2
-    assert phi_fiber_dim(Partition()) == 0
-    assert gamma_fiber_dim(Partition((1,))) == 0
-    assert gamma_fiber_dim(Partition((2, 1))) == 1
-    assert gamma_fiber_dim(Partition((3,))) == 0
-
-
-def test_fiber_dim_identities():
-    for n in range(1, 17):
-        for lam in enumerate_partitions(n):
-            assert phi_fiber_dim(lam) == generator_count(lam) - 1
-            assert gamma_fiber_dim(lam) == socle_count(lam) - 1
-            # the stratum index of an i-generator ideal has (i-2)-dim fibers
-            assert gamma_fiber_dim(lam) == generator_count(lam) - 2
 
 
 def test_euler_incidence_frozen():
@@ -131,16 +109,6 @@ def test_strata_refusals():
         StrataBoundTable(1, {1: 4, 2: -1})
     with pytest.raises(ValueError, match=r"^malformed table: \{1: 4, 2: 2\}$"):
         strata_propagate({1: 4, 2: 2})
-
-
-def test_gamma_fiber_dim_cross_checks_the_socle(monkeypatch):
-    from hilb import incidence
-
-    monkeypatch.setattr(incidence, "socle_count", lambda mu: 0)
-    with pytest.raises(
-        ConsistencyError, match=r"^socle/generator mismatch at \(1\): socle 0, generators 2$"
-    ):
-        gamma_fiber_dim((1,))
 
 
 def test_strata_tables_keep_their_own_bounds():

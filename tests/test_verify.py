@@ -11,6 +11,7 @@ from hilb import (
     Partition,
     PoincarePoly,
     StaircaseIdeal,
+    StrataBoundTable,
     cli,
     hilbert_burch,
     incidence,
@@ -43,9 +44,11 @@ def doubled_corner(lam):
     return m._replace(entries=((corner._replace(coeff=2 * corner.coeff), *row), *rows))
 
 
-def pairs_lost(n):
-    """euler_incidence with every nested pair lost: its three-way count raises."""
-    return incidence._confirmed_pair_count(n, lambda lams: 0)
+def socles_lost(n):
+    """The real euler_incidence with every socle count 0: its three-way count raises."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incidence, "socle_count", lambda mu: 0)
+        return incidence.euler_incidence(n)
 
 
 # A wrong stand-in for one library function, seen from hilb.verify, and the
@@ -86,8 +89,8 @@ BROKEN = [
                  "conjugate multiset at (1)", id="tangent-weights-swap"),
     ("affine-closed-form", "poincare_affine", lambda n: poincare_affine(n + 1), "slice n=1"),
     # the library's own cross-check fires, and its message is the detail
-    ("euler-incidence", "euler_incidence", pairs_lost,
-     "incidence count mismatch at n=0: pairs 0, generator sum 1, socle sum 1"),
+    ("euler-incidence", "euler_incidence", socles_lost,
+     "incidence count mismatch at n=0: pairs 1, generator sum 1, socle sum 0"),
     # a count the three routes never see: one extra pair at every n
     pytest.param("euler-incidence", "euler_incidence", lambda n: incidence.euler_incidence(n) + 1,
                  "n=0: 2 pairs, p(0) + ... + p(0) = 1", id="euler-incidence-sum"),
@@ -168,7 +171,7 @@ def test_broken_library_fails_its_check(monkeypatch, check, attr, fake, detail):
 
 
 def test_a_library_consistency_error_fails_only_its_row(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "euler_incidence", pairs_lost)
+    monkeypatch.setattr(verify, "euler_incidence", socles_lost)
     results = run_checks(4)
     assert [r.name for r in results] == [name for name, _ in ALL_CHECKS]
     assert [r.name for r in results if not r.passed] == ["euler-incidence"]
@@ -178,6 +181,21 @@ def test_a_library_consistency_error_fails_only_its_row(monkeypatch, capsys):
     assert (code, err) == (1, "")
     assert len(out.splitlines()) == 1 + len(ALL_CHECKS)
     assert out.count(",fail,") == 1
+
+
+def test_a_library_value_error_fails_only_its_row(monkeypatch, capsys):
+    # run_checks has validated nmax and the names, so a ValueError raised
+    # inside a check is a library fault: a failing row, not exit 2
+    monkeypatch.setattr(verify, "strata_table", lambda n: StrataBoundTable(n, {1: 2 * n + 3}))
+    code = cli.main(["verify", "--all", "--nmax", "4", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    rows = json.loads(out)["payload"]["rows"]
+    assert [row[0] for row in rows] == [name for name, _ in ALL_CHECKS]
+    assert [row for row in rows if row[2] != "pass"] == [[
+        "strata-bounds", "n<=40", "fail",
+        "malformed table: principal stratum must carry bound 4 at size 1",
+    ]]
 
 
 def test_euler_incidence_compares_every_count_up_to_its_cap(monkeypatch):
@@ -205,6 +223,14 @@ def test_broken_conjugate_fails_conjugate_involution(monkeypatch):
     monkeypatch.setattr(Partition, "conjugate", lambda lam: Partition([*lam, 1]))
     [bad] = run_checks(4, ["conjugate-involution"])
     assert (bad.scope, bad.passed, bad.detail) == ("n<=4", False, "failed at ()")
+
+
+def test_conjugate_involution_compares_with_the_transpose(monkeypatch):
+    # a conjugate that returns lambda above size 8 is still an involution
+    real = Partition.conjugate
+    monkeypatch.setattr(Partition, "conjugate", lambda lam: lam if sum(lam) > 8 else real(lam))
+    [bad] = run_checks(12, ["conjugate-involution"])
+    assert (bad.scope, bad.passed, bad.detail) == ("n<=12", False, "failed at (9)")
 
 
 def test_broken_cocovers_fail_cover_duality(monkeypatch):
