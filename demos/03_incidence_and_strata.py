@@ -12,7 +12,6 @@ Run:  python3 demos/03_incidence_and_strata.py
 
 from hilb import (
     Partition,
-    check_codim_hypotheses,
     euler_incidence,
     generator_count,
     nested_pairs,
@@ -64,17 +63,21 @@ for _ in range(6):
 
 print()
 print("=== Codimension audit at n = 6 (ambient dimension 2n+2) ===")
-report = check_codim_hypotheses(strata_table(6))
-for e in report.entries:
-    if e.vacuous:
-        print(f"  i={e.index}: empty stratum (vacuous)")
-    else:
-        print(
-            f"  i={e.index}: bound {e.bound}, codim {e.codim}, "
-            f"margin over 2i-2: {e.margin} -> "
-            f"{'ok' if e.satisfied else 'FAIL'}"
-        )
-print(f"all hypotheses satisfied: {report.all_satisfied}")
+table = strata_table(6)
+satisfied = True
+for i in range(2, table.max_index + 2):
+    bound = table.bound(i)
+    if bound is None:
+        print(f"  i={i}: empty stratum (vacuous)")
+        continue
+    codim = table.ambient_dim - bound
+    margin = codim - (2 * i - 2)
+    satisfied = satisfied and margin >= 0
+    print(
+        f"  i={i}: bound {bound}, codim {codim}, "
+        f"margin over 2i-2: {margin} -> {'ok' if margin >= 0 else 'FAIL'}"
+    )
+print(f"all hypotheses satisfied: {satisfied}")
 print("codim >= i (i >= 2) and codim >= i+1 (i >= 3) are what the blow-up")
 print("description of the incidence variety needs; both follow from the")
 print("margin being non-negative.")

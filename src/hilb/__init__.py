@@ -53,11 +53,8 @@ _EXPORTS = {
         "tangent_weights",
     ),
     "incidence": (
-        "CodimHypothesesReport",
         "NestedPair",
         "StrataBoundTable",
-        "StratumCodim",
-        "check_codim_hypotheses",
         "euler_incidence",
         "nested_pairs",
         "strata_base",

@@ -126,6 +126,7 @@ class PoincarePoly(Record):
         return max(self.coeffs, default=0)
 
     def evaluate(self, x: int = 1) -> int:
+        x = as_int(x, "evaluation points must be integers")
         return sum(c * x**d for d, c in self.coeffs.items())
 
     def __repr__(self) -> str:

@@ -15,12 +15,18 @@ downstairs, the downstairs fiber adds j-1, and the upstairs fiber
 subtracts i-2. From the exact size-1 table {1: 4, 2: 2}, induction on n
 shows that the step yields this closed form at every size, so
 strata_table writes it down directly.
+
+In the ambient dimension 2n + 2 the stratum i >= 2 then has codimension
+2i - 2, exactly the margin the blow-up description of the incidence
+variety needs: codim >= i at i = 2 and codim >= i + 1 for i >= 3. The
+strata-bounds check of `hilb verify` and `hilb strata` read these
+codimensions off the table.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 from .common import Record
 from .errors import ConsistencyError, as_size
@@ -159,43 +165,3 @@ def strata_table(n: int) -> StrataBoundTable:
     """
     n = as_size(n, 1, "table size")
     return StrataBoundTable(n, {i: 2 * n + 4 - 2 * i for i in range(1, n + 2)})
-
-
-class StratumCodim(NamedTuple):
-    """Codimension audit for one stratum index."""
-
-    index: int
-    bound: Optional[int]
-    codim: Optional[int]
-    margin: Optional[int]  # codim - (2i - 2); satisfied iff non-negative
-    vacuous: bool
-    satisfied: bool
-
-
-class CodimHypothesesReport(NamedTuple):
-    """Blow-up criterion audit: codim >= i for i >= 2 and >= i+1 for i >= 3.
-
-    Satisfied means margin = codim - (2i - 2) >= 0, so codim >= i at i = 2
-    and codim >= i + 1 for i >= 3. Empty strata are reported vacuous.
-    """
-
-    n: int
-    entries: tuple[StratumCodim, ...]
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(e.satisfied for e in self.entries)
-
-
-def check_codim_hypotheses(t: StrataBoundTable) -> CodimHypothesesReport:
-    """Audit codimensions of every non-principal stratum of a table."""
-    entries = []
-    for i in range(2, t.max_index + 2):
-        b = t.bound(i)
-        if b is None:
-            entries.append(StratumCodim(i, None, None, None, True, True))
-            continue
-        codim = t.ambient_dim - b
-        margin = codim - (2 * i - 2)
-        entries.append(StratumCodim(i, b, codim, margin, False, margin >= 0))
-    return CodimHypothesesReport(t.n, tuple(entries))

@@ -156,9 +156,12 @@ def _shaped(pts: list[int]) -> Partition:
 
 
 def _coordinates(box) -> tuple[int, int]:
-    """(row, col) of a box, each coerced by as_int."""
+    """(row, col) of a box, each coerced by as_int; ValueError unless a pair."""
+    try:
+        r, c = box
+    except (TypeError, ValueError):
+        raise ValueError(f"a box must be a (row, col) pair, got {box!r}") from None
     what = "box coordinates must be integers"
-    r, c = box
     return as_int(r, what), as_int(c, what)
 
 

@@ -271,6 +271,31 @@ def test_strata_table_renders_empty(capsys):
     assert "empty" in out  # the absent bound prints as "empty", never 0
 
 
+@pytest.mark.parametrize(
+    "table, margins, statuses",
+    [
+        # stratum 3 is two dimensions too big
+        (StrataBoundTable(2, {1: 6, 2: 4, 3: 4}), [0, -2], ["ok", "FAIL", "vacuous"]),
+        # stratum 2 has codim 1 < 2
+        (StrataBoundTable(2, {1: 6, 2: 5, 3: 2}), [-1, 0], ["FAIL", "ok", "vacuous"]),
+        # only stratum 3 fails, codim 3 < 4; strata 2 and 4 sit at margin 0
+        (StrataBoundTable(3, {1: 8, 2: 6, 3: 5, 4: 2}), [0, -1, 0],
+         ["ok", "FAIL", "ok", "vacuous"]),
+    ],
+    ids=["margin-2-at-3", "margin-1-at-2", "margin-1-at-3"],
+)
+def test_strata_fails_exactly_the_short_codims(capsys, monkeypatch, table, margins, statuses):
+    # a row fails exactly when its margin codim - (2i - 2) is negative
+    monkeypatch.setattr(incidence, "strata_table", lambda n: table)
+    code, record = run_json(capsys, ["strata", "--n", str(table.n)])
+    assert code == 1
+    payload = record["payload"]
+    assert payload["passed"] is False
+    rows = payload["rows"][1:]
+    assert [r[4] for r in rows] == [*margins, "-"]
+    assert [r[5] for r in rows] == statuses
+
+
 def test_goettsche_compare(capsys):
     code, record = run_json(
         capsys,

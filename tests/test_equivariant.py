@@ -112,6 +112,10 @@ def test_poincare_poly_type():
     with pytest.raises(ValueError, match=r"^degrees must be integers, got 2\.5$"):
         PoincarePoly({0: 1, 2: 1}).coefficient(2.5)
     assert PoincarePoly({0: 1, 2: 1}).coefficient(False) == 1
+    # evaluate(0.5) used to answer the float 1.3125
+    with pytest.raises(ValueError, match=r"^evaluation points must be integers, got 0\.5$"):
+        poly.evaluate(0.5)
+    assert poly.evaluate(True) == 4
     assert format_poly({0: 1, 2: 1}, "u") == "1 + u^2"
     # the coefficient map is read-only, so no odd or negative term gets in
     with pytest.raises(TypeError):

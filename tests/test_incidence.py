@@ -6,7 +6,6 @@ from hilb import (
     NestedPair,
     Partition,
     StrataBoundTable,
-    check_codim_hypotheses,
     enumerate_partitions,
     euler_incidence,
     nested_pairs,
@@ -131,54 +130,6 @@ def test_strata_propagate_frozen():
     assert two.bound(4) is None
     three = strata_propagate(two)
     assert three.bounds == {1: 8, 2: 6, 3: 4, 4: 2}
-
-
-def test_codim_hypotheses_frozen():
-    report = check_codim_hypotheses(strata_base())
-    assert report.all_satisfied
-    by_index = {e.index: e for e in report.entries}
-    assert by_index[2].codim == 2 and by_index[2].satisfied
-    report2 = check_codim_hypotheses(strata_table(2))
-    by_index = {e.index: e for e in report2.entries}
-    assert by_index[2].codim == 2
-    assert by_index[3].codim == 4 and by_index[3].satisfied
-    assert by_index[4].vacuous
-    assert report2.all_satisfied
-
-
-def test_codim_hypotheses_hold_to_40():
-    for n in range(1, 41):
-        report = check_codim_hypotheses(strata_table(n))
-        assert report.all_satisfied
-        for entry in report.entries:
-            if entry.vacuous:
-                continue
-            assert entry.codim >= 2 * entry.index - 2
-            assert entry.margin >= 0
-            if entry.index >= 2:
-                assert entry.codim >= entry.index
-            if entry.index >= 3:
-                assert entry.codim >= entry.index + 1
-
-
-def test_codim_failure_detected():
-    # an entry is satisfied exactly when its margin codim - (2i - 2) is >= 0
-    for bad, failing in (
-        # stratum 3 is two dimensions too big: margin -2
-        (StrataBoundTable(2, {1: 6, 2: 4, 3: 4}), [3]),
-        # stratum 2 has codim 1 < 2: margin -1
-        (StrataBoundTable(2, {1: 6, 2: 5, 3: 2}), [2]),
-        # only stratum 3 fails, codim 3 < 4; strata 2 and 4 sit at margin 0
-        (StrataBoundTable(3, {1: 8, 2: 6, 3: 5, 4: 2}), [3]),
-    ):
-        report = check_codim_hypotheses(bad)
-        assert not report.all_satisfied
-        for e in report.entries:
-            if e.vacuous:
-                assert e.satisfied and e.margin is None
-            else:
-                assert e.satisfied == (e.margin >= 0)
-        assert [e.index for e in report.entries if not e.satisfied] == failing, bad
 
 
 def test_strata_table_equals_public_steps():

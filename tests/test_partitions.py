@@ -56,6 +56,11 @@ def test_validation(size_gate):
         for box in ((0, 0.5), (0.5, 0)):
             with pytest.raises(ValueError, match=r"^box coordinates must be integers, got 0\.5$"):
                 call(box)
+        # a box that is no pair used to raise TypeError or "too many values"
+        for box, shown in ((5, "5"), ((0, 0, 0), r"\(0, 0, 0\)")):
+            message = rf"^a box must be a \(row, col\) pair, got {shown}$"
+            with pytest.raises(ValueError, match=message):
+                call(box)
     assert (lam.box_in((True, 2)), lam.arm((True, 0)), lam.leg((False, True))) == (False, 1, 1)
     size_gate(enumerate_partitions, "partition size", 0)
     # p(n) of a negative n is 0, so only the integer check applies

@@ -198,6 +198,19 @@ def test_a_library_value_error_fails_only_its_row(monkeypatch, capsys):
     ]]
 
 
+def test_a_short_codim_fails_strata_bounds(monkeypatch):
+    # base, step and closed form agree on a table whose stratum 2 has codim
+    # 1 < 2, so only the codim comparison sees it
+    def short(n):
+        return StrataBoundTable(n, {1: 2 * n + 2, 2: 2 * n + 1})
+
+    monkeypatch.setattr(verify, "strata_table", short)
+    monkeypatch.setattr(verify, "strata_base", lambda: short(1))
+    monkeypatch.setattr(verify, "strata_propagate", lambda t: short(t.n + 1))
+    [bad] = run_checks(4, ["strata-bounds"])
+    assert (bad.scope, bad.passed, bad.detail) == ("n<=40", False, "codim fails at n=1")
+
+
 def test_euler_incidence_compares_every_count_up_to_its_cap(monkeypatch):
     # one extra pair above n = 10 only, past the nmax of the BROKEN rows
     real = incidence.euler_incidence
