@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import ConsistencyError, NonGenericError, as_size
+from .errors import ConsistencyError, as_size
 
 # Each handler imports the layers it runs, and _emit the json or csv
 # module it writes with, so one invocation loads only what it uses
@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     except ConsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (NonGenericError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     parameters["threads"] = 1  # kept in every record; the CLI is single-threaded

@@ -97,15 +97,12 @@ class DivisorClass(Record):
 class IntersectionLattice(Record):
     """Free abelian group with a symmetric integer pairing and named basis.
 
-    The pairing is stored sparsely, as a {column: value} dict of the
-    nonzero entries of each row that has any; `gram` is the dense view.
-    Instances are immutable records, compared by labels and entries. The
-    hash is computed on first use and kept in the slot `_hash`, which is
-    not a defining field.
+    The pairing is stored sparsely, as a read-only {(i, j): value} view
+    of the nonzero Gram entries; `gram` is the dense view. Instances are
+    immutable records, compared and hashed by labels and entries.
     """
 
-    __slots__ = ("labels", "_rows", "_hash")
-    _fields = ("labels", "_rows")
+    __slots__ = ("labels", "_entries")
 
     def __init__(self, gram, labels):
         gram = tuple(map(tuple, gram))
@@ -133,19 +130,18 @@ class IntersectionLattice(Record):
                 raise ValueError(f"basis labels must be strings, got {label!r}")
         if len(set(labels)) != r:
             raise ValueError(f"duplicate basis labels in {labels}")
-        rows: dict[int, dict[int, int]] = {}
+        stored: dict[tuple[int, int], int] = {}
         for (i, j), x in entries.items():
             if not (0 <= i < r and 0 <= j < r):
                 raise ValueError(f"gram entry ({i}, {j}) outside a {r} x {r} matrix")
             x = as_int(x, "gram entries must be integers")
             if x:
-                rows.setdefault(i, {})[j] = x
-        for i, row in rows.items():
-            for j, x in row.items():
-                if rows.get(j, {}).get(i) != x:
-                    raise ValueError(f"gram matrix not symmetric at ({i}, {j})")
+                stored[i, j] = x
+        for (i, j), x in stored.items():
+            if stored.get((j, i)) != x:
+                raise ValueError(f"gram matrix not symmetric at ({i}, {j})")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_entries", MappingProxyType(stored))
 
     def __reduce__(self):
         return (IntersectionLattice.from_entries, (self.entries(), self.labels))
@@ -157,23 +153,12 @@ class IntersectionLattice(Record):
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """The dense Gram matrix, built on each access."""
-        empty: dict[int, int] = {}
-        return tuple(
-            tuple(self._rows.get(i, empty).get(j, 0) for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        get, r = self._entries.get, range(self.rank)
+        return tuple(tuple(get((i, j), 0) for j in r) for i in r)
 
     def entries(self) -> dict[tuple[int, int], int]:
         """The nonzero Gram entries as {(i, j): value}."""
-        return {(i, j): x for i, row in self._rows.items() for j, x in row.items()}
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.labels, frozenset(self.entries().items())))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return dict(self._entries)
 
     def __repr__(self) -> str:
         return f"IntersectionLattice(gram={self.gram!r}, labels={self.labels!r})"
@@ -193,15 +178,7 @@ class IntersectionLattice(Record):
                 f"coordinate length mismatch: lattice rank {self.rank}, "
                 f"classes of length {len(c1)} and {len(c2)}"
             )
-        total = 0
-        for i, row in self._rows.items():
-            a = c1[i]
-            if a:
-                for j, x in row.items():
-                    b = c2[j]
-                    if b:
-                        total += a * x * b
-        return total
+        return sum(c1[i] * x * c2[j] for (i, j), x in self._entries.items())
 
 
 def format_poly(coeffs: dict[int, int], var: str) -> str:

@@ -537,7 +537,11 @@ def commutator_checks(
     from .lattice import nakajima_closed_form
 
     checked = []
-    for m, k, alpha, beta in quads:
+    for q in quads:
+        try:
+            m, k, alpha, beta = q
+        except (TypeError, ValueError):
+            raise ValueError(f"a quadruple must be (m, k, alpha, beta), got {q!r}") from None
         m = as_size(m, 1, "annihilation level")
         k = as_size(k, 1, "creation level")
         ip = surface.pair(alpha, beta)

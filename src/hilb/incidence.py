@@ -25,6 +25,7 @@ codimensions off the table.
 
 from __future__ import annotations
 
+import operator
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -79,6 +80,14 @@ def euler_incidence(n: int) -> int:
     return pair_count
 
 
+def _natural(x) -> int:
+    """operator.index(x), or -1 for a value that is no integer."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        return -1
+
+
 class StrataBoundTable(Record):
     """Dimension bounds for the loci needing i local generators, fixed size n.
 
@@ -86,26 +95,30 @@ class StrataBoundTable(Record):
     never encoded as 0 or a sentinel number. Propagated bounds may be
     vacuous for strata that happen to be empty; that is harmless, the
     bound still holds. `bounds` is a read-only copy of the caller's
-    mapping.
+    mapping, each index and bound stored as an exact int.
     """
 
     __slots__ = ("n", "bounds")
 
     def __init__(self, n: int, bounds: Mapping[int, int]):
         n = as_size(n, 1, "table size")
-        bounds = dict(bounds)
+        table: dict[int, int] = {}
         for i, b in bounds.items():
-            if not isinstance(i, int) or i < 1:
+            # exact ints, the common case, skip the call
+            index = i if type(i) is int else _natural(i)
+            bound = b if type(b) is int else _natural(b)
+            if index < 1:
                 raise ValueError(f"malformed table: bad index {i}")
-            if not isinstance(b, int) or b < 0:
+            if bound < 0:
                 raise ValueError(f"malformed table: bad bound {b} at i={i}")
-        if bounds.get(1) != 2 * n + 2:
+            table[index] = bound
+        if table.get(1) != 2 * n + 2:
             raise ValueError(
                 f"malformed table: principal stratum must carry bound "
                 f"{2 * n + 2} at size {n}"
             )
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bounds", MappingProxyType(bounds))
+        object.__setattr__(self, "bounds", MappingProxyType(table))
 
     @property
     def ambient_dim(self) -> int:

@@ -400,6 +400,8 @@ ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = tuple(_REGIST
 def run_checks(nmax: int, names: Optional[list[str]] = None) -> list[CheckResult]:
     """Run the suite (or a named subset) scaled by nmax."""
     nmax = as_size(nmax, 1, "nmax")
+    if isinstance(names, str):
+        raise ValueError(f"names must be a list of check names, got the string {names!r}")
     selected = names if names is not None else [n for n, _ in ALL_CHECKS]
     table = dict(ALL_CHECKS)
     unknown = [n for n in selected if n not in table]

@@ -671,6 +671,12 @@ def test_commutator_checks_validate_every_quadruple(probes, size_gate):
         with pytest.raises(ValueError, match=message):
             # a valid quadruple first: the bad one is still refused
             commutator_checks(P2, [(1, 1, "h", "h"), quad], probes)
+    # these used to raise TypeError "cannot unpack non-iterable int object"
+    # and "not enough values to unpack"
+    for quad, shown in ((5, "5"), ((1, 1, "h"), r"\(1, 1, 'h'\)")):
+        message = rf"^a quadruple must be \(m, k, alpha, beta\), got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            commutator_checks(P2, [(1, 1, "h", "h"), quad], probes)
     # the reports carry the coerced levels
     size_gate(lambda m: commutator_check(P2, m, 1, "h", "h", probes), "annihilation level", 1)
     size_gate(lambda k: commutator_check(P2, 1, k, "h", "h", probes), "creation level", 1)

@@ -101,6 +101,13 @@ def test_strata_table_validation():
         StrataBoundTable(1, {1: 4, 0: 1})
     with pytest.raises(ValueError, match="^malformed table: bad index a$"):
         StrataBoundTable(1, {"a": 1, 1: 4})  # the type is tested before the order
+    with pytest.raises(ValueError, match=r"^malformed table: bad bound 2\.0 at i=2$"):
+        StrataBoundTable(1, {1: 4, 2: 2.0})
+    # bools are integers, stored as exact ints like every other record's
+    table = StrataBoundTable(1, {True: 4, 2: True})
+    assert [type(x) for x in (*table.bounds, *table.bounds.values())] == [int] * 4
+    assert table == StrataBoundTable(1, {1: 4, 2: 1})
+    assert repr(table) == "StrataBoundTable(n=1, bounds={1: 4, 2: 1})"
 
 
 def test_strata_refusals():

@@ -229,6 +229,11 @@ def test_lattice_from_entries_validation():
     assert lat == IntersectionLattice(((2, 3), (3, 0)), ("A", "B"))
     with pytest.raises(ValueError, match="symmetric"):
         IntersectionLattice.from_entries({(0, 1): 3}, ("A", "B"))
+    # the first asymmetric entry in the caller's order is named
+    with pytest.raises(ValueError, match=r"^gram matrix not symmetric at \(1, 0\)$"):
+        IntersectionLattice.from_entries(
+            {(0, 2): 4, (1, 0): 2, (0, 1): 3, (2, 0): 4}, ("a", "b", "c")
+        )
     with pytest.raises(ValueError, match="outside"):
         IntersectionLattice.from_entries({(2, 2): -1}, ("A", "B"))
     with pytest.raises(ValueError, match=r"^gram entries must be integers, got 1\.9$"):
@@ -239,28 +244,21 @@ def test_lattice_from_entries_validation():
         lat.labels = ("C", "D")
 
 
-def test_lattice_hash_is_computed_once(monkeypatch):
+def test_lattice_value_is_its_labels_and_entries():
     labels = ("A", "B", "C")
     by_gram = IntersectionLattice(((2, 3, 0), (3, -4, 0), (0, 0, 0)), labels)
     by_entries = IntersectionLattice.from_entries(
         {(0, 0): 2, (0, 1): 3, (1, 0): 3, (1, 1): -4}, labels
     )
-    hashed = hash(by_gram)
     pickled = pickle.loads(pickle.dumps(by_gram))
-    # the kept hash is no defining field: equality, repr and pickling ignore it
     assert by_gram == by_entries == pickled
     assert repr(pickled) == repr(by_gram) == repr(by_entries)
-    assert hash(by_entries) == hash(pickled) == hashed
+    assert hash(by_gram) == hash(by_entries) == hash(pickled)
     assert pickle.dumps(by_gram) == pickle.dumps(by_entries)
-    calls = []
-    entries = IntersectionLattice.entries
-    monkeypatch.setattr(
-        IntersectionLattice, "entries", lambda self: calls.append(1) or entries(self)
-    )
-    fresh = IntersectionLattice(((1, 0), (0, -1)), ("P", "Q"))
-    first = hash(fresh)
-    assert calls == [1]
-    assert hash(fresh) == first and calls == [1]
+    # entries() is a copy: writing to it leaves the lattice as it was
+    copy = by_gram.entries()
+    copy[2, 2] = 5
+    assert by_gram == by_entries and by_gram.gram[2] == (0, 0, 0)
 
 
 def test_integer_arguments_are_coerced(size_gate):

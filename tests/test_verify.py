@@ -151,6 +151,11 @@ def test_every_check_runs_at_its_cap():
 def test_run_checks_rejects_bad_arguments(size_gate):
     with pytest.raises(ValueError, match="unknown checks: no-such, other"):
         run_checks(4, ["partition-counts", "no-such", "other"])
+    # a bare string used to be read letter by letter: "unknown checks: n, a, k, ..."
+    with pytest.raises(
+        ValueError, match="^names must be a list of check names, got the string 'nakajima'$"
+    ):
+        run_checks(4, "nakajima")
     with pytest.raises(ValueError, match="nmax must be at least 1, got 0"):
         run_checks(0)
     with pytest.raises(ValueError, match="nmax must be at least 1, got -3"):
