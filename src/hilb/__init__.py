@@ -52,15 +52,8 @@ _EXPORTS = {
         "poincare_punctual",
         "tangent_weights",
     ),
-    "incidence": (
-        "NestedPair",
-        "StrataBoundTable",
-        "euler_incidence",
-        "nested_pairs",
-        "strata_base",
-        "strata_propagate",
-        "strata_table",
-    ),
+    "strata": ("StrataBoundTable", "strata_base", "strata_propagate", "strata_table"),
+    "incidence": ("NestedPair", "euler_incidence", "nested_pairs"),
     "lattice": (
         "NakajimaSequence",
         "blow_up",
@@ -70,20 +63,22 @@ _EXPORTS = {
         "p2_lattice",
         "rank_zero_lattice",
     ),
+    "series": (
+        "GradedSeries",
+        "SurfaceModel",
+        "fock_character",
+        "goettsche_series",
+        "k3_surface",
+        "p2_surface",
+    ),
     "heisenberg": (
         "CommutatorReport",
         "FockState",
-        "GradedSeries",
-        "SurfaceModel",
         "annihilate",
         "basis_monomials",
         "commutator_check",
         "commutator_checks",
         "create",
-        "fock_character",
-        "goettsche_series",
-        "k3_surface",
-        "p2_surface",
         "vacuum",
     ),
 }

@@ -19,9 +19,10 @@ import sys
 from . import __version__
 from .errors import ConsistencyError, as_size
 
-# Each handler imports the layers it runs, and _emit the json or csv
+# Each handler imports the modules it runs, and _emit the json or csv
 # module it writes with, so one invocation loads only what it uses
-# (`partitions` loads no cell, lattice or Fock code).
+# (`partitions` loads no cell, lattice or Fock code, `strata` no partition
+# code, and `goettsche` only the series, not the Fock operators).
 
 
 def _int_list(raw: str, count: int, wanted: str) -> tuple[int, ...]:
@@ -104,7 +105,7 @@ def cmd_incidence(args) -> tuple[dict, dict]:
 
 
 def cmd_strata(args) -> tuple[dict, dict]:
-    from .incidence import strata_table
+    from .strata import strata_table
 
     t = strata_table(as_size(args.n, 1, "--n"))
     rows: list[list] = [
@@ -175,7 +176,7 @@ def cmd_lattice(args) -> tuple[dict, dict]:
 
 
 def cmd_goettsche(args) -> tuple[dict, dict]:
-    from .heisenberg import SurfaceModel, goettsche_series
+    from .series import SurfaceModel, goettsche_series
 
     betti = _int_list(args.betti, 5, "--betti wants five")
     as_size(args.torder, 0, "--torder")
@@ -206,7 +207,7 @@ def cmd_verify(args) -> tuple[dict, dict]:
 
     if not args.all:
         raise ValueError("pass --all to run the invariant suite")
-    results = run_checks(args.nmax)
+    results = run_checks(as_size(args.nmax, 1, "--nmax"))
     rows = [
         [r.name, r.scope, "pass" if r.passed else "fail", r.detail] for r in results
     ]
@@ -220,7 +221,47 @@ def cmd_verify(args) -> tuple[dict, dict]:
     return {"nmax": args.nmax, "all": True}, payload
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `hilb` parser; given a subcommand's name, only it gets its arguments.
+
+    Each call of the CLI parses one subcommand, so building the others'
+    arguments, and their -h, is start-up time spent for nothing. Every
+    subcommand is still registered with its help text, so the top-level
+    usage and errors read the same. With no name, or a word that names
+    no subcommand (`hilb --help`, `hilb nosuch`), all eight are built.
+    """
+    n = ("--n", {"type": int, "required": True})
+    # name -> (handler, help, arguments after --format), in `hilb --help` order
+    commands = {
+        "partitions": (cmd_partitions, "list the partitions of n", [n]),
+        "betti": (cmd_betti, "Poincare polynomial of a Hilbert scheme", [
+            ("--space", {"choices": ("affine", "p2", "punctual"), "required": True}),
+            n,
+            ("--rho", {"help": "one-parameter subgroup A,B (default: generic)"}),
+        ]),
+        "incidence": (cmd_incidence, "nested-pair checks up to size n", [
+            n,
+            ("--check", {"choices": tuple(_INCIDENCE_COLUMNS), "default": "all"}),
+        ]),
+        "strata": (cmd_strata, "generator-count strata bounds at size n", [n]),
+        "nakajima": (cmd_nakajima, "Nakajima constants c_1..c_n", [
+            n,
+            ("--method", {"choices": ("recurrence", "closed", "both"), "default": "both"}),
+        ]),
+        "lattice": (cmd_lattice, "blow-up intersection lattice", [
+            ("--blowup", {"type": int, "required": True, "metavar": "K"}),
+            ("--square-exceptional", {"action": "store_true"}),
+        ]),
+        "goettsche": (cmd_goettsche, "bigraded series of a surface model", [
+            ("--betti", {"required": True, "metavar": "B0,B1,B2,B3,B4"}),
+            ("--torder", {"type": int, "required": True}),
+            ("--compare-fixed-points", {"action": "store_true"}),
+        ]),
+        "verify": (cmd_verify, "run the full invariant suite", [
+            ("--all", {"action": "store_true"}),
+            ("--nmax", {"type": int, "default": 12}),
+        ]),
+    }
     parser = argparse.ArgumentParser(
         prog="hilb",
         description="Exact combinatorics of Hilbert schemes of points on surfaces.",
@@ -229,8 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    lean = command in commands
+    for name, (handler, help_text, arguments) in commands.items():
+        if lean and name != command:
+            # named in the top-level usage, but never parses
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--format",
@@ -238,43 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
             default="table",
             help="output format (default table)",
         )
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("partitions", cmd_partitions, "list the partitions of n")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("betti", cmd_betti, "Poincare polynomial of a Hilbert scheme")
-    p.add_argument("--space", choices=("affine", "p2", "punctual"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", help="one-parameter subgroup A,B (default: generic)")
-
-    p = add("incidence", cmd_incidence, "nested-pair checks up to size n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--check", choices=tuple(_INCIDENCE_COLUMNS), default="all")
-
-    p = add("strata", cmd_strata, "generator-count strata bounds at size n")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("nakajima", cmd_nakajima, "Nakajima constants c_1..c_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--method", choices=("recurrence", "closed", "both"), default="both"
-    )
-
-    p = add("lattice", cmd_lattice, "blow-up intersection lattice")
-    p.add_argument("--blowup", type=int, required=True, metavar="K")
-    p.add_argument("--square-exceptional", action="store_true")
-
-    p = add("goettsche", cmd_goettsche, "bigraded series of a surface model")
-    p.add_argument("--betti", required=True, metavar="B0,B1,B2,B3,B4")
-    p.add_argument("--torder", type=int, required=True)
-    p.add_argument("--compare-fixed-points", action="store_true")
-
-    p = add("verify", cmd_verify, "run the full invariant suite")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--nmax", type=int, default=12)
-
     return parser
 
 
@@ -331,8 +342,8 @@ def _emit(record: dict, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         parameters, payload = args.handler(args)
     except ConsistencyError as e:

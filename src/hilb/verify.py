@@ -28,23 +28,8 @@ from .equivariant import (
     tangent_weights,
 )
 from .errors import ConsistencyError, as_size
-from .heisenberg import (
-    FockState,
-    SurfaceModel,
-    basis_monomials,
-    commutator_checks,
-    fock_character,
-    goettsche_series,
-    k3_surface,
-    p2_surface,
-)
-from .incidence import (
-    euler_incidence,
-    nested_pairs,
-    strata_base,
-    strata_propagate,
-    strata_table,
-)
+from .heisenberg import FockState, basis_monomials, commutator_checks
+from .incidence import euler_incidence, nested_pairs
 from .lattice import (
     IntersectionLattice,
     exceptional_total_square,
@@ -55,6 +40,8 @@ from .lattice import (
 )
 from .monomial import generator_count, hilbert_burch, socle_count, staircase
 from .partitions import enumerate_partitions, pentagonal_partition_count
+from .series import SurfaceModel, fock_character, goettsche_series, k3_surface, p2_surface
+from .strata import strata_base, strata_propagate, strata_table
 
 
 class CheckResult(NamedTuple):

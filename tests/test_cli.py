@@ -19,6 +19,7 @@ from hilb import (
     lattice,
     monomial,
     poincare_affine,
+    strata,
     verify,
 )
 from test_startup import child_env
@@ -286,7 +287,7 @@ def test_strata_table_renders_empty(capsys):
 )
 def test_strata_fails_exactly_the_short_codims(capsys, monkeypatch, table, margins, statuses):
     # a row fails exactly when its margin codim - (2i - 2) is negative
-    monkeypatch.setattr(incidence, "strata_table", lambda n: table)
+    monkeypatch.setattr(strata, "strata_table", lambda n: table)
     code, record = run_json(capsys, ["strata", "--n", str(table.n)])
     assert code == 1
     payload = record["payload"]
@@ -356,7 +357,7 @@ def test_verify_small(capsys):
     [
         (monomial, "generator_count", lambda lam: 2 * sum(lam),
          "incidence --n 3 --check jumps", "passed"),
-        (incidence, "strata_table", lambda n: StrataBoundTable(2, {1: 6, 2: 4, 3: 4}),
+        (strata, "strata_table", lambda n: StrataBoundTable(2, {1: 6, 2: 4, 3: 4}),
          "strata --n 2", "passed"),
         (lattice, "nakajima_closed_form", lambda n: 0,
          "nakajima --n 4 --method both", "all_equal"),
@@ -396,6 +397,7 @@ def test_exit_code_2_on_bad_values(capsys):
          "--betti wants five comma-separated integers, got '1,0,1'"),
         ("lattice --blowup 0 --square-exceptional",
          "--square-exceptional needs at least one blown-up point"),
+        ("verify --all --nmax 0", "--nmax must be at least 1, got 0"),
     ]
     for argv, message in refusals:
         assert run(capsys, argv.split()) == (2, "", f"error: {message}\n"), argv
@@ -408,6 +410,53 @@ def test_unknown_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def parse_exit(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def spy_on_parser(monkeypatch) -> list:
+    """The subcommand names that main asks build_parser for, in call order."""
+    asked, real = [], cli.build_parser
+
+    def spy(command=None):
+        asked.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    return asked
+
+
+SUBCOMMANDS = [
+    "partitions", "betti", "incidence", "strata", "nakajima", "lattice", "goettsche", "verify",
+]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_lean_parser_reads_as_the_full_one(capsys, monkeypatch, command):
+    # main builds the arguments of the invoked subcommand only; its help,
+    # a missing required flag and a bad --format read as the full parser's
+    full = cli.build_parser().parse_args
+    asked = spy_on_parser(monkeypatch)
+    cases = [[command, "--help"], [command, "--format", "xml"]]
+    if command != "verify":  # the one subcommand without a required flag
+        cases.append([command])
+    for argv in cases:
+        lean = parse_exit(cli.main, argv, capsys)
+        assert lean == parse_exit(full, argv, capsys), argv
+        assert lean[0] == (0 if "--help" in argv else 2), argv
+    assert asked == [command] * len(cases)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], [], ["nosuch"]], ids=repr)
+def test_top_level_parse_reads_as_the_full_one(capsys, argv):
+    full = cli.build_parser().parse_args
+    assert parse_exit(cli.main, argv, capsys) == parse_exit(full, argv, capsys)
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hilb.heisenberg
+import hilb.series
 from hilb import (
     FockState,
     IntersectionLattice,
@@ -696,7 +697,7 @@ def test_fock_equals_goettsche_to_order_14():
 )
 def test_packed_series_match_a_dense_product(surface, tmax):
     want = dense_product(surface, tmax)
-    bits = hilb.heisenberg._slot_bits(surface, tmax)
+    bits = hilb.series._slot_bits(surface, tmax)
     for series in (goettsche_series(surface, tmax), fock_character(surface, tmax)):
         assert series.coeffs == want
         # no slot carries into the next: the top bit of every slot stays clear

@@ -18,8 +18,8 @@ from hilb import cli
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 LAYERS = (
-    "errors", "common", "partitions", "monomial", "equivariant",
-    "incidence", "lattice", "heisenberg", "verify", "cli",
+    "errors", "common", "partitions", "monomial", "equivariant", "strata",
+    "incidence", "lattice", "series", "heisenberg", "verify", "cli",
 )
 
 
@@ -41,9 +41,11 @@ sys.stderr.write(" ".join([str(code), str("dataclasses" in sys.modules), *loaded
 
 BASE = {"hilb", "hilb.cli", "hilb.errors"}
 CELLS = {"hilb.common", "hilb.partitions", "hilb.equivariant"}
-INCIDENCE = {"hilb.common", "hilb.partitions", "hilb.monomial", "hilb.incidence"}
+STRATA = {"hilb.common", "hilb.strata"}
+# incidence re-exports the strata tables, so it loads their module too
+INCIDENCE = STRATA | {"hilb.partitions", "hilb.monomial", "hilb.incidence"}
 LATTICE = {"hilb.common", "hilb.lattice"}
-SERIES = {"hilb.common", "hilb.heisenberg"}
+SERIES = {"hilb.common", "hilb.series"}
 
 
 @pytest.mark.parametrize(
@@ -53,7 +55,7 @@ SERIES = {"hilb.common", "hilb.heisenberg"}
         ("betti --space affine --n 3", CELLS),
         ("betti --space punctual --n 3", CELLS),
         ("incidence --n 3", INCIDENCE),
-        ("strata --n 3", INCIDENCE),
+        ("strata --n 3", STRATA),
         ("nakajima --n 3", LATTICE),
         ("lattice --blowup 2", LATTICE),
         ("goettsche --betti 1,0,1,0,1 --torder 2", SERIES),
@@ -107,6 +109,8 @@ def test_non_generic_error_is_one_class():
     [
         ("NonGenericError", {"hilb", "hilb.errors"}),
         ("IntersectionLattice", {"hilb", "hilb.errors", "hilb.common"}),
+        ("strata_table", {"hilb", "hilb.errors", "hilb.common", "hilb.strata"}),
+        ("goettsche_series", {"hilb", "hilb.errors", "hilb.common", "hilb.series"}),
     ],
 )
 def test_leaf_reexport_loads_only_its_module(name, loaded):
