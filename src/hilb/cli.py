@@ -203,11 +203,13 @@ def cmd_goettsche(args) -> tuple[dict, dict]:
 
 
 def cmd_verify(args) -> tuple[dict, dict]:
-    from .verify import run_checks
-
+    # refuse before importing the suite, which loads every layer
     if not args.all:
         raise ValueError("pass --all to run the invariant suite")
-    results = run_checks(as_size(args.nmax, 1, "--nmax"))
+    nmax = as_size(args.nmax, 1, "--nmax")
+    from .verify import run_checks
+
+    results = run_checks(nmax)
     rows = [
         [r.name, r.scope, "pass" if r.passed else "fail", r.detail] for r in results
     ]

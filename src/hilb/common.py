@@ -131,7 +131,15 @@ class IntersectionLattice(Record):
         if len(set(labels)) != r:
             raise ValueError(f"duplicate basis labels in {labels}")
         stored: dict[tuple[int, int], int] = {}
-        for (i, j), x in entries.items():
+        for key, x in entries.items():
+            try:
+                i, j = key
+            except (TypeError, ValueError):
+                raise ValueError(f"gram entry keys must be pairs (i, j), got {key!r}") from None
+            # exact ints need no coercion, and blow-ups build large lattices
+            if type(i) is not int or type(j) is not int:
+                i = as_int(i, f"gram entry {key!r} needs integer indices")
+                j = as_int(j, f"gram entry {key!r} needs integer indices")
             if not (0 <= i < r and 0 <= j < r):
                 raise ValueError(f"gram entry ({i}, {j}) outside a {r} x {r} matrix")
             x = as_int(x, "gram entries must be integers")

@@ -391,7 +391,7 @@ def run_checks(nmax: int, names: Optional[list[str]] = None) -> list[CheckResult
         raise ValueError(f"names must be a list of check names, got the string {names!r}")
     selected = names if names is not None else [n for n, _ in ALL_CHECKS]
     table = dict(ALL_CHECKS)
-    unknown = [n for n in selected if n not in table]
+    unknown = [n for n in selected if not isinstance(n, str) or n not in table]
     if unknown:
-        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+        raise ValueError(f"unknown checks: {', '.join(map(str, unknown))}")
     return [table[n](nmax) for n in selected]

@@ -4,12 +4,13 @@ its stdout must hash to the value recorded here.
 A change that alters a demo's output on purpose records the new hash."""
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from test_startup import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,11 +29,9 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("demo", sorted(STDOUT_SHA256))
 def test_demo_output_is_byte_identical(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
-        env=env, capture_output=True, timeout=120,
+        env=child_env(), capture_output=True, timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo]

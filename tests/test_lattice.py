@@ -240,6 +240,19 @@ def test_lattice_from_entries_validation():
         IntersectionLattice.from_entries({(0, 0): 1.9}, ("A",))
     with pytest.raises(ValueError, match=r"^duplicate basis labels in \('B', 'C', 'B'\)$"):
         IntersectionLattice.from_entries({}, ("B", "C", "B"))
+    # an index goes through as_int like an entry, and a key must be a pair
+    with pytest.raises(
+        ValueError, match=r"^gram entry \(0\.5, 0\.5\) needs integer indices, got 0\.5$"
+    ):
+        IntersectionLattice.from_entries({(0.5, 0.5): 3}, ("a",))
+    for key, shown in [(1, "1"), ((0, 0, 0), r"\(0, 0, 0\)")]:
+        with pytest.raises(
+            ValueError, match=rf"^gram entry keys must be pairs \(i, j\), got {shown}$"
+        ):
+            IntersectionLattice.from_entries({key: 2}, ("a",))
+    assert IntersectionLattice.from_entries({(True, True): 3}, ("a", "b")) == (
+        IntersectionLattice(((0, 0), (0, 3)), ("a", "b"))
+    )
     with pytest.raises(AttributeError):
         lat.labels = ("C", "D")
 

@@ -1,5 +1,5 @@
 """Start-up: the lazy package root, records without dataclasses, and what
-each subcommand loads and prints as a process."""
+each subcommand and each refusal loads and prints as a process."""
 
 import hashlib
 import importlib
@@ -48,28 +48,37 @@ LATTICE = {"hilb.common", "hilb.lattice"}
 SERIES = {"hilb.common", "hilb.series"}
 
 
+# argv, the hilb modules it loads beyond BASE, and its exit code; a refusal
+# happens before any layer loads
+LOAD_RUNS = [
+    ("partitions --n 3", {"hilb.partitions"}, 0),
+    ("betti --space affine --n 3", CELLS, 0),
+    ("betti --space punctual --n 3", CELLS, 0),
+    ("incidence --n 3", INCIDENCE, 0),
+    ("strata --n 3", STRATA, 0),
+    ("nakajima --n 3", LATTICE, 0),
+    ("lattice --blowup 2", LATTICE, 0),
+    ("goettsche --betti 1,0,1,0,1 --torder 2", SERIES, 0),
+    ("goettsche --betti 1,0,1,0,1 --torder 2 --compare-fixed-points", SERIES | CELLS, 0),
+    ("verify --all --nmax 2", {f"hilb.{layer}" for layer in LAYERS}, 0),
+    ("verify --nmax 4", set(), 2),
+    ("verify --all --nmax 0", set(), 2),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, layers",
-    [
-        ("partitions --n 3", {"hilb.partitions"}),
-        ("betti --space affine --n 3", CELLS),
-        ("betti --space punctual --n 3", CELLS),
-        ("incidence --n 3", INCIDENCE),
-        ("strata --n 3", STRATA),
-        ("nakajima --n 3", LATTICE),
-        ("lattice --blowup 2", LATTICE),
-        ("goettsche --betti 1,0,1,0,1 --torder 2", SERIES),
-        ("goettsche --betti 1,0,1,0,1 --torder 2 --compare-fixed-points", SERIES | CELLS),
-        ("verify --all --nmax 2", {f"hilb.{layer}" for layer in LAYERS}),
-    ],
+    "argv, layers, code", LOAD_RUNS,
+    # pytest's own ids would end in the exit code; these keep "<argv>-layers<row>"
+    ids=[f"{argv}-layers{row}" for row, (argv, *_) in enumerate(LOAD_RUNS)],
 )
-def test_subcommand_loads_only_its_layers(argv, layers):
+def test_subcommand_loads_only_its_layers(argv, layers, code):
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", PROBE, *argv.split(), "--format", "json"],
         env=child_env(), capture_output=True, text=True, timeout=120,
     )
-    code, dataclasses_loaded, *loaded = proc.stderr.split()
-    assert (code, dataclasses_loaded) == ("0", "False")
+    # the probe's report is the last stderr line, after any refusal
+    got, dataclasses_loaded, *loaded = proc.stderr.splitlines()[-1].split()
+    assert (got, dataclasses_loaded) == (str(code), "False")
     assert set(loaded) == BASE | layers
 
 
@@ -191,8 +200,9 @@ PROCESS_GOLDENS = [
 
 
 def run_process(argv: str) -> subprocess.CompletedProcess:
+    """`python -W error -m hilb.cli <argv>`, its stdout and stderr as bytes."""
     return subprocess.run(
-        [sys.executable, "-m", "hilb.cli", *argv.split()],
+        [sys.executable, "-W", "error", "-m", "hilb.cli", *argv.split()],
         env=child_env(), capture_output=True, timeout=120,
     )
 
@@ -216,4 +226,79 @@ def test_verify_process_matches_in_process(capsys):
     argv = "verify --all --nmax 4 --format json"
     proc = run_process(argv)
     code = cli.main(argv.split())
+    assert code == 0
     assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (code, capsys.readouterr().out, b"")
+
+
+# Every subcommand and every refusal as a process: (argv, exit code, stderr).
+# Exit 0 prints one JSON record of argv's subcommand and nothing on stderr;
+# exit 2 prints nothing on stdout and exactly one "error: ..." line.
+PROCESS_RUNS = [
+    ("partitions --n 4 --format json", 0, ""),
+    ("betti --space affine --n 3 --format json", 0, ""),
+    ("betti --space punctual --n 3 --format json", 0, ""),
+    ("incidence --n 4 --format json", 0, ""),
+    ("incidence --n 4 --check jumps --format json", 0, ""),
+    ("incidence --n 4 --check euler --format json", 0, ""),
+    ("strata --n 4 --format json", 0, ""),
+    ("nakajima --n 5 --format json", 0, ""),
+    ("nakajima --n 5 --method recurrence --format json", 0, ""),
+    ("nakajima --n 5 --method closed --format json", 0, ""),
+    ("nakajima --n 3000 --method both --format json", 0, ""),
+    ("lattice --blowup 2 --format json", 0, ""),
+    ("lattice --blowup 4 --square-exceptional --format json", 0, ""),
+    ("lattice --blowup 3000 --square-exceptional --format json", 0, ""),
+    ("goettsche --betti 1,0,1,0,1 --torder 3 --compare-fixed-points --format json", 0, ""),
+    ("goettsche --betti 1,0,22,0,1 --torder 4 --format json", 0, ""),
+    ("goettsche --betti 1,0,22,0,1 --torder 30 --format json", 0, ""),
+    ("goettsche --betti 1,0,3000,0,1 --torder 3 --format json", 0, ""),
+    ("verify --all --nmax 12 --format json", 0, ""),
+    ("partitions --n -1", 2, "error: --n must be at least 0, got -1\n"),
+    ("betti --space affine --n -1", 2, "error: --n must be at least 0, got -1\n"),
+    ("betti --space p2 --n -1", 2, "error: --n must be at least 0, got -1\n"),
+    ("betti --space punctual --n 0", 2, "error: punctual locus undefined for n = 0\n"),
+    ("betti --space affine --n 2 --rho zap", 2,
+     "error: --rho wants two comma-separated integers, got 'zap'\n"),
+    ("betti --space affine --n 2 --rho a,b", 2,
+     "error: --rho wants two comma-separated integers, got 'a,b'\n"),
+    ("betti --space affine --n 2 --rho 1,1", 2,
+     "error: non-generic one-parameter subgroup: rho=(1, 1) pairs to zero with weight (-1, 1)\n"),
+    ("betti --space p2 --n 3 --rho 0,0", 2,
+     "error: non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with weight (3, 0)\n"),
+    ("betti --space affine --n 0 --rho 0,0", 2,
+     "error: non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with every weight\n"),
+    ("betti --space p2 --n 0 --rho 0,0", 2,
+     "error: non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with every weight\n"),
+    ("betti --space punctual --n 3 --rho 1,5", 2,
+     "error: --rho does not apply to the punctual locus\n"),
+    ("incidence --n -1", 2, "error: --n must be at least 0, got -1\n"),
+    ("strata --n 0", 2, "error: --n must be at least 1, got 0\n"),
+    ("nakajima --n 0", 2, "error: --n must be at least 1, got 0\n"),
+    ("lattice --blowup -1", 2, "error: --blowup must be at least 0, got -1\n"),
+    ("lattice --blowup 0 --square-exceptional", 2,
+     "error: --square-exceptional needs at least one blown-up point\n"),
+    ("goettsche --betti 1,0,1,0,1 --torder -1", 2, "error: --torder must be at least 0, got -1\n"),
+    ("goettsche --betti 1,0,1 --torder 2", 2,
+     "error: --betti wants five comma-separated integers, got '1,0,1'\n"),
+    ("goettsche --betti 1,0,-1,0,1 --torder 2", 2,
+     "error: Betti numbers must be non-negative, got (1, 0, -1, 0, 1)\n"),
+    ("goettsche --betti 1,1,1,0,1 --torder 2", 2,
+     "error: Betti numbers must be symmetric, got (1, 1, 1, 0, 1)\n"),
+    ("goettsche --betti 1,0,1,0,2 --torder 2", 2,
+     "error: a connected surface needs b0 = b4 = 1, got (1, 0, 1, 0, 2)\n"),
+    ("goettsche --betti 1,1,1,1,1 --torder 2", 2, "error: odd cohomology unsupported\n"),
+    ("goettsche --betti 1,0,22,0,1 --torder 2 --compare-fixed-points", 2,
+     "error: --compare-fixed-points needs the projective-plane Betti numbers 1,0,1,0,1\n"),
+    ("verify --nmax 4", 2, "error: pass --all to run the invariant suite\n"),
+    ("verify --all --nmax 0", 2, "error: --nmax must be at least 1, got 0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stderr", PROCESS_RUNS, ids=[row[0] for row in PROCESS_RUNS])
+def test_process_run(argv, code, stderr):
+    proc = run_process(argv)
+    assert (proc.returncode, proc.stderr.decode()) == (code, stderr)
+    if code:
+        assert proc.stdout == b""
+    else:
+        assert json.loads(proc.stdout)["command"] == argv.split()[0]

@@ -156,6 +156,11 @@ def test_run_checks_rejects_bad_arguments(size_gate):
         ValueError, match="^names must be a list of check names, got the string 'nakajima'$"
     ):
         run_checks(4, "nakajima")
+    # a name that is no string is unknown too, and the message still words it
+    with pytest.raises(ValueError, match=r"^unknown checks: 5$"):
+        run_checks(4, [5])
+    with pytest.raises(ValueError, match=r"^unknown checks: \['x'\]$"):
+        run_checks(4, [["x"]])
     with pytest.raises(ValueError, match="nmax must be at least 1, got 0"):
         run_checks(0)
     with pytest.raises(ValueError, match="nmax must be at least 1, got -3"):
