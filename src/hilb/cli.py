@@ -19,10 +19,11 @@ import sys
 from . import __version__
 from .errors import ConsistencyError, as_size
 
-# Each handler imports the modules it runs, and _emit the json or csv
-# module it writes with, so one invocation loads only what it uses
-# (`partitions` loads no cell, lattice or Fock code, `strata` no partition
-# code, and `goettsche` only the series, not the Fock operators).
+# Each handler runs the CLI's own argument checks, then imports the
+# modules it runs, and _emit the json or csv module it writes with, so one
+# invocation loads only what it uses (`partitions` loads no cell, lattice
+# or Fock code, `strata` no partition code, `goettsche` only the series,
+# not the Fock operators, and a refused argument no layer at all).
 
 
 def _int_list(raw: str, count: int, wanted: str) -> tuple[int, ...]:
@@ -37,28 +38,27 @@ def _int_list(raw: str, count: int, wanted: str) -> tuple[int, ...]:
 
 
 def cmd_partitions(args) -> tuple[dict, dict]:
+    n = as_size(args.n, 0, "--n")
     from .partitions import enumerate_partitions
 
-    lams = enumerate_partitions(as_size(args.n, 0, "--n"))
+    lams = enumerate_partitions(n)
     rows = [[i, str(lam)] for i, lam in enumerate(lams)]
     payload = {"count": len(lams), "columns": ["index", "partition"], "rows": rows}
     return {"n": args.n}, payload
 
 
 def cmd_betti(args) -> tuple[dict, dict]:
+    n = as_size(args.n, 0, "--n")
+    if args.rho is not None and args.space == "punctual":
+        raise ValueError("--rho does not apply to the punctual locus")
+    rho = None if args.rho is None else _int_list(args.rho, 2, "--rho wants two")
     from .equivariant import CharVector, cell_tables, poincare_from_tables, poincare_punctual
 
-    n = as_size(args.n, 0, "--n")
     params: dict = {"space": args.space, "n": n}
     if args.space == "punctual":
-        if args.rho is not None:
-            raise ValueError("--rho does not apply to the punctual locus")
         poly = poincare_punctual(n)
     else:
-        rho = None
-        if args.rho is not None:
-            rho = CharVector(*_int_list(args.rho, 2, "--rho wants two"))
-        rho, tables = cell_tables(args.space, n, rho)
+        rho, tables = cell_tables(args.space, n, None if rho is None else CharVector(*rho))
         params["rho"] = [rho.a, rho.b]
         poly = poincare_from_tables(tables, n)
     rows = [[d, poly.coeffs[d]] for d in sorted(poly.coeffs)]
@@ -105,9 +105,10 @@ def cmd_incidence(args) -> tuple[dict, dict]:
 
 
 def cmd_strata(args) -> tuple[dict, dict]:
+    n = as_size(args.n, 1, "--n")
     from .strata import strata_table
 
-    t = strata_table(as_size(args.n, 1, "--n"))
+    t = strata_table(n)
     rows: list[list] = [
         [1, t.bound(1), t.ambient_dim, 0, "-", "pinned"],
     ]
@@ -130,9 +131,9 @@ def cmd_strata(args) -> tuple[dict, dict]:
 
 
 def cmd_nakajima(args) -> tuple[dict, dict]:
+    as_size(args.n, 1, "--n")
     from .lattice import nakajima_closed_form, nakajima_recurrence
 
-    as_size(args.n, 1, "--n")
     params = {"n": args.n, "method": args.method}
     ns = range(1, args.n + 1)
     table: dict = {"n": list(ns)}
@@ -150,13 +151,13 @@ def cmd_nakajima(args) -> tuple[dict, dict]:
 
 
 def cmd_lattice(args) -> tuple[dict, dict]:
+    as_size(args.blowup, 0, "--blowup")
+    if args.square_exceptional and args.blowup < 1:
+        raise ValueError("--square-exceptional needs at least one blown-up point")
     from .lattice import blow_up, exceptional_total_square, p2_lattice
 
-    as_size(args.blowup, 0, "--blowup")
     params = {"blowup": args.blowup, "base": "p2"}
     if args.square_exceptional:
-        if args.blowup < 1:
-            raise ValueError("--square-exceptional needs at least one blown-up point")
         square = exceptional_total_square(args.blowup, p2_lattice())
         payload = {
             "exceptional_square": square,
@@ -176,10 +177,10 @@ def cmd_lattice(args) -> tuple[dict, dict]:
 
 
 def cmd_goettsche(args) -> tuple[dict, dict]:
-    from .series import SurfaceModel, goettsche_series
-
     betti = _int_list(args.betti, 5, "--betti wants five")
     as_size(args.torder, 0, "--torder")
+    from .series import SurfaceModel, goettsche_series
+
     surface = SurfaceModel(betti)
     series = goettsche_series(surface, args.torder)
     params = {"betti": list(betti), "torder": args.torder}
@@ -203,7 +204,6 @@ def cmd_goettsche(args) -> tuple[dict, dict]:
 
 
 def cmd_verify(args) -> tuple[dict, dict]:
-    # refuse before importing the suite, which loads every layer
     if not args.all:
         raise ValueError("pass --all to run the invariant suite")
     nmax = as_size(args.nmax, 1, "--nmax")

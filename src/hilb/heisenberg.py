@@ -9,8 +9,7 @@ operators act as derivations with
     [a_m(alpha), a_{-k}(beta)] = delta_{mk} * c_m * <alpha, beta> * id,
 
 where c_m is the m-th Nakajima constant, imported from the intersection
-calculus rather than re-derived (and imported only when an operator
-needs it, so building states never loads the lattice layer).
+calculus rather than re-derived.
 commutator_checks verifies the relation on spanning probe states for a
 list of (m, k, alpha, beta): it packs every probe monomial into one int
 key, a multiset with one slot per factor (level, label) that counts its
@@ -32,6 +31,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .common import Record
 from .errors import as_int, as_size
+from .lattice import nakajima_closed_form
 from .series import (
     GradedSeries,
     SurfaceModel,
@@ -236,8 +236,6 @@ def annihilate(state: FockState, m: int, alpha: str) -> FockState:
     Every beta of a state was checked when it entered, so the pairing is
     read without re-validating it.
     """
-    from .lattice import nakajima_closed_form
-
     m = as_size(m, 1, "annihilation level")
     surface = state.surface
     surface.degree(alpha)
@@ -313,8 +311,6 @@ def commutator_checks(
     fails iff its tag survives in the residue. Nothing is kept after the
     call.
     """
-    from .lattice import nakajima_closed_form
-
     checked = []
     for q in quads:
         try:

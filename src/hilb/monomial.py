@@ -67,13 +67,19 @@ class StaircaseIdeal(NamedTuple):
     shape: Partition
     generators: tuple[Monomial, ...]
 
-    def contains(self, m: Monomial) -> bool:
-        """Membership: the monomial lies outside the diagram.
+    def contains(self, m) -> bool:
+        """Membership of a Monomial or any (x, y) exponent pair: it lies
+        outside the diagram.
 
-        Both exponents go through errors.as_size with least 0.
+        A non-pair is a ValueError; both exponents go through
+        errors.as_size with least 0.
         """
-        x = as_size(m.xexp, 0, "x exponent")
-        y = as_size(m.yexp, 0, "y exponent")
+        try:
+            x, y = m
+        except (TypeError, ValueError):
+            raise ValueError(f"a monomial must be an (x, y) exponent pair, got {m!r}") from None
+        x = as_size(x, 0, "x exponent")
+        y = as_size(y, 0, "y exponent")
         parts = self.shape
         return y >= len(parts) or x >= parts[y]
 

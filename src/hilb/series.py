@@ -155,8 +155,8 @@ class GradedSeries(Record):
         """Specialize u = 1 in the t^n slice (an Euler characteristic)."""
         return sum(self.t_slice(n).values())
 
-    def slice_str(self, n: int, var: str = "u") -> str:
-        return format_poly(self.t_slice(n), var)
+    def slice_str(self, n: int) -> str:
+        return format_poly(self.t_slice(n), "u")
 
     def __repr__(self) -> str:
         return f"GradedSeries(truncation={self.truncation}, terms={len(self.coeffs)})"

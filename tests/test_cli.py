@@ -22,7 +22,7 @@ from hilb import (
     strata,
     verify,
 )
-from test_startup import PROCESS_RUNS, child_env
+from test_startup import child_env
 
 
 def run(capsys, argv):
@@ -366,13 +366,6 @@ def test_verify_requires_all_flag(capsys):
     code, out, err = run(capsys, ["verify", "--nmax", "4"])
     assert code == 2
     assert "--all" in err
-
-
-def test_exit_code_2_on_bad_values(capsys):
-    # main() in process refuses each bad input of the process table alike
-    for argv, code, stderr in PROCESS_RUNS:
-        if code == 2:
-            assert run(capsys, argv.split()) == (2, "", stderr), argv
 
 
 def test_unknown_flags_exit_2(capsys):

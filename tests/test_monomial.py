@@ -1,5 +1,7 @@
 """Staircase ideals, socle counts, and determinantal matrices."""
 
+import re
+
 import pytest
 
 from hilb import (
@@ -203,3 +205,9 @@ def test_membership_gates_exponents(size_gate):
         ideal.contains(Monomial(1.5, 0))
     size_gate(lambda x: ideal.contains(Monomial(x, 0)), "x exponent", 0)
     size_gate(lambda y: ideal.contains(Monomial(0, y)), "y exponent", 0)
+    # any (x, y) pair reads as its Monomial; anything else is refused
+    assert [ideal.contains((1, 2)), ideal.contains([1, 0])] == [True, False]
+    for m in (3, (1, 2, 3), None):
+        message = f"a monomial must be an (x, y) exponent pair, got {m!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ideal.contains(m)

@@ -1,7 +1,16 @@
-"""Start-up: the lazy package root, records without dataclasses, and what
-each subcommand and each refusal loads and prints as a process."""
+"""Start-up: the lazy package root, records without dataclasses, and the
+command line as processes.
 
-import hashlib
+`PROCESS_RUNS` is the one table of CLI processes: each row is an argv, its
+exit code, its exact stderr and the hilb modules it loads. Each row runs
+once as `python -W error -X importtime -m hilb.cli <argv>`; the import log
+gives the modules loaded (never `dataclasses`), the rest of stderr must be
+the row's, and `cli.main` in process must print the same stdout and stderr
+and return the same exit code. `test_cli_output_matches_bench_goldens`
+pins the in-process stdout of the benchmark's calls byte for byte.
+`LOAD_RUNS` and the verify comparison read the same once-per-argv runs."""
+
+import functools
 import importlib
 import json
 import os
@@ -27,59 +36,6 @@ def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
-
-
-# Runs `main` on the given arguments in a fresh interpreter, then writes the
-# exit code, whether `dataclasses` was loaded, and the hilb modules loaded.
-PROBE = """
-import sys
-from hilb.cli import main
-code = main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules if m == "hilb" or m.startswith("hilb."))
-sys.stderr.write(" ".join([str(code), str("dataclasses" in sys.modules), *loaded]))
-"""
-
-BASE = {"hilb", "hilb.cli", "hilb.errors"}
-CELLS = {"hilb.common", "hilb.partitions", "hilb.equivariant"}
-STRATA = {"hilb.common", "hilb.strata"}
-# incidence re-exports the strata tables, so it loads their module too
-INCIDENCE = STRATA | {"hilb.partitions", "hilb.monomial", "hilb.incidence"}
-LATTICE = {"hilb.common", "hilb.lattice"}
-SERIES = {"hilb.common", "hilb.series"}
-
-
-# argv, the hilb modules it loads beyond BASE, and its exit code; a refusal
-# happens before any layer loads
-LOAD_RUNS = [
-    ("partitions --n 3", {"hilb.partitions"}, 0),
-    ("betti --space affine --n 3", CELLS, 0),
-    ("betti --space punctual --n 3", CELLS, 0),
-    ("incidence --n 3", INCIDENCE, 0),
-    ("strata --n 3", STRATA, 0),
-    ("nakajima --n 3", LATTICE, 0),
-    ("lattice --blowup 2", LATTICE, 0),
-    ("goettsche --betti 1,0,1,0,1 --torder 2", SERIES, 0),
-    ("goettsche --betti 1,0,1,0,1 --torder 2 --compare-fixed-points", SERIES | CELLS, 0),
-    ("verify --all --nmax 2", {f"hilb.{layer}" for layer in LAYERS}, 0),
-    ("verify --nmax 4", set(), 2),
-    ("verify --all --nmax 0", set(), 2),
-]
-
-
-@pytest.mark.parametrize(
-    "argv, layers, code", LOAD_RUNS,
-    # pytest's own ids would end in the exit code; these keep "<argv>-layers<row>"
-    ids=[f"{argv}-layers{row}" for row, (argv, *_) in enumerate(LOAD_RUNS)],
-)
-def test_subcommand_loads_only_its_layers(argv, layers, code):
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", PROBE, *argv.split(), "--format", "json"],
-        env=child_env(), capture_output=True, text=True, timeout=120,
-    )
-    # the probe's report is the last stderr line, after any refusal
-    got, dataclasses_loaded, *loaded = proc.stderr.splitlines()[-1].split()
-    assert (got, dataclasses_loaded) == (str(code), "False")
-    assert set(loaded) == BASE | layers
 
 
 def test_star_import_binds_every_exported_name():
@@ -187,118 +143,172 @@ def test_value_semantics_live_in_record_only():
     assert own == {("IntersectionLattice", "__reduce__")}
 
 
-# One cli-oneshot golden per subcommand that has one, spread over the three formats.
-PROCESS_GOLDENS = [
-    "partitions --n 5 --format table",
-    "betti --space p2 --n 3 --format json",
-    "incidence --n 12 --check all --format csv",
-    "strata --n 8 --format table",
-    "nakajima --n 60 --method both --format json",
-    "lattice --blowup 3 --format csv",
-    "goettsche --betti 1,0,1,0,1 --torder 6 --compare-fixed-points --format table",
+# The hilb modules a process loads. Under -m the CLI module runs as
+# __main__, so BASE is the package and errors: a logged hilb.cli would be
+# a second copy of the CLI. The CLI checks its own arguments before a
+# handler imports a layer, so a refused argument loads BASE alone.
+BASE = {"hilb", "hilb.errors"}
+PARTITIONS = BASE | {"hilb.partitions"}
+CELLS = BASE | {"hilb.common", "hilb.partitions", "hilb.equivariant"}
+STRATA = BASE | {"hilb.common", "hilb.strata"}
+# incidence re-exports the strata tables, so it loads their module too
+INCIDENCE = STRATA | {"hilb.partitions", "hilb.monomial", "hilb.incidence"}
+LATTICE = BASE | {"hilb.common", "hilb.lattice"}
+SERIES = BASE | {"hilb.common", "hilb.series"}
+EVERY = {"hilb", *(f"hilb.{layer}" for layer in LAYERS if layer != "cli")}
+
+# Every subcommand and every refusal as a process: (argv, exit code,
+# stderr, hilb modules loaded). Exit 0 prints nothing on stderr, and in
+# json one record of argv's subcommand; the table and csv rows are the
+# benchmark's cli-oneshot calls. Exit 2 prints nothing on stdout and
+# exactly one "error: ..." line.
+PROCESS_RUNS = [
+    ("partitions --n 4 --format json", 0, "", PARTITIONS),
+    ("partitions --n 5 --format table", 0, "", PARTITIONS),
+    ("betti --space affine --n 3 --format json", 0, "", CELLS),
+    ("betti --space p2 --n 3 --format json", 0, "", CELLS),
+    ("betti --space punctual --n 3 --format json", 0, "", CELLS),
+    ("incidence --n 4 --format json", 0, "", INCIDENCE),
+    ("incidence --n 4 --check jumps --format json", 0, "", INCIDENCE),
+    ("incidence --n 4 --check euler --format json", 0, "", INCIDENCE),
+    ("incidence --n 12 --check all --format csv", 0, "", INCIDENCE),
+    ("strata --n 4 --format json", 0, "", STRATA),
+    ("strata --n 8 --format table", 0, "", STRATA),
+    ("nakajima --n 5 --format json", 0, "", LATTICE),
+    ("nakajima --n 5 --method recurrence --format json", 0, "", LATTICE),
+    ("nakajima --n 5 --method closed --format json", 0, "", LATTICE),
+    ("nakajima --n 60 --method both --format json", 0, "", LATTICE),
+    ("nakajima --n 3000 --method both --format json", 0, "", LATTICE),
+    ("lattice --blowup 2 --format json", 0, "", LATTICE),
+    ("lattice --blowup 3 --format csv", 0, "", LATTICE),
+    ("lattice --blowup 4 --square-exceptional --format json", 0, "", LATTICE),
+    ("lattice --blowup 3000 --square-exceptional --format json", 0, "", LATTICE),
+    ("goettsche --betti 1,0,1,0,1 --torder 3 --compare-fixed-points --format json", 0, "",
+     SERIES | CELLS),
+    ("goettsche --betti 1,0,1,0,1 --torder 6 --compare-fixed-points --format table", 0, "",
+     SERIES | CELLS),
+    ("goettsche --betti 1,0,22,0,1 --torder 4 --format json", 0, "", SERIES),
+    ("goettsche --betti 1,0,22,0,1 --torder 30 --format json", 0, "", SERIES),
+    ("goettsche --betti 1,0,3000,0,1 --torder 3 --format json", 0, "", SERIES),
+    ("verify --all --nmax 12 --format json", 0, "", EVERY),
+    ("partitions --n -1", 2, "error: --n must be at least 0, got -1\n", BASE),
+    ("betti --space affine --n -1", 2, "error: --n must be at least 0, got -1\n", BASE),
+    ("betti --space p2 --n -1", 2, "error: --n must be at least 0, got -1\n", BASE),
+    ("betti --space punctual --n 0", 2, "error: punctual locus undefined for n = 0\n", CELLS),
+    ("betti --space affine --n 2 --rho zap", 2,
+     "error: --rho wants two comma-separated integers, got 'zap'\n", BASE),
+    ("betti --space affine --n 2 --rho a,b", 2,
+     "error: --rho wants two comma-separated integers, got 'a,b'\n", BASE),
+    ("betti --space affine --n 2 --rho 1,1", 2,
+     "error: non-generic one-parameter subgroup: rho=(1, 1) pairs to zero with weight (-1, 1)\n",
+     CELLS),
+    ("betti --space p2 --n 3 --rho 0,0", 2,
+     "error: non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with weight (3, 0)\n",
+     CELLS),
+    ("betti --space affine --n 0 --rho 0,0", 2,
+     "error: non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with every weight\n",
+     CELLS),
+    ("betti --space p2 --n 0 --rho 0,0", 2,
+     "error: non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with every weight\n",
+     CELLS),
+    ("betti --space punctual --n 3 --rho 1,5", 2,
+     "error: --rho does not apply to the punctual locus\n", BASE),
+    ("incidence --n -1", 2, "error: --n must be at least 0, got -1\n", BASE),
+    ("strata --n 0", 2, "error: --n must be at least 1, got 0\n", BASE),
+    ("nakajima --n 0", 2, "error: --n must be at least 1, got 0\n", BASE),
+    ("lattice --blowup -1", 2, "error: --blowup must be at least 0, got -1\n", BASE),
+    ("lattice --blowup 0 --square-exceptional", 2,
+     "error: --square-exceptional needs at least one blown-up point\n", BASE),
+    ("goettsche --betti 1,0,1,0,1 --torder -1", 2,
+     "error: --torder must be at least 0, got -1\n", BASE),
+    ("goettsche --betti 1,0,1 --torder 2", 2,
+     "error: --betti wants five comma-separated integers, got '1,0,1'\n", BASE),
+    ("goettsche --betti 1,0,-1,0,1 --torder 2", 2,
+     "error: Betti numbers must be non-negative, got (1, 0, -1, 0, 1)\n", SERIES),
+    ("goettsche --betti 1,1,1,0,1 --torder 2", 2,
+     "error: Betti numbers must be symmetric, got (1, 1, 1, 0, 1)\n", SERIES),
+    ("goettsche --betti 1,0,1,0,2 --torder 2", 2,
+     "error: a connected surface needs b0 = b4 = 1, got (1, 0, 1, 0, 2)\n", SERIES),
+    ("goettsche --betti 1,1,1,1,1 --torder 2", 2, "error: odd cohomology unsupported\n", SERIES),
+    ("goettsche --betti 1,0,22,0,1 --torder 2 --compare-fixed-points", 2,
+     "error: --compare-fixed-points needs the projective-plane Betti numbers 1,0,1,0,1\n",
+     SERIES),
+    ("verify --nmax 4", 2, "error: pass --all to run the invariant suite\n", BASE),
+    ("verify --all --nmax 0", 2, "error: --nmax must be at least 1, got 0\n", BASE),
 ]
 
 
-def run_process(argv: str) -> subprocess.CompletedProcess:
-    """`python -W error -m hilb.cli <argv>`, its stdout and stderr as bytes."""
-    return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "hilb.cli", *argv.split()],
+@functools.cache
+def cli_process(argv: str) -> tuple:
+    """`python -W error -X importtime -m hilb.cli <argv>`, run once per argv:
+    its exit code, stdout, the rest of its stderr and the modules it loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-X", "importtime", "-m", "hilb.cli", *argv.split()],
         env=child_env(), capture_output=True, timeout=120,
     )
+    # each "import time:" line ends in "| <module>", indented by its depth;
+    # the log has what import statements load, not importlib.import_module
+    log, rest = [], []
+    for line in proc.stderr.decode().splitlines(keepends=True):
+        (log if line.startswith("import time:") else rest).append(line)
+    loaded = frozenset(line.rsplit("|", 1)[1].strip() for line in log)
+    return proc.returncode, proc.stdout.decode(), "".join(rest), loaded
 
 
-@pytest.mark.parametrize("argv", PROCESS_GOLDENS)
-def test_process_output_matches_bench_goldens(argv):
-    # as `python -m hilb.cli`, where cli runs as __main__ and its handlers'
-    # relative imports resolve through the package
-    goldens = json.loads((ROOT / "perfbench" / "goldens.json").read_text())["cli-oneshot"]
-    proc = run_process(argv)
-    got = {
-        "sha256": hashlib.sha256(proc.stdout).hexdigest(),
-        "bytes": len(proc.stdout),
-        "exit": proc.returncode,
-    }
-    assert (got, proc.stderr) == (goldens[argv], b"")
+def hilb_modules(loaded) -> set:
+    return {m for m in loaded if m == "hilb" or m.startswith("hilb.")}
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr, layers", PROCESS_RUNS, ids=[row[0] for row in PROCESS_RUNS]
+)
+def test_process_run(argv, code, stderr, layers, capsys):
+    got, out, rest, loaded = cli_process(argv)
+    assert (got, rest) == (code, stderr)
+    assert "dataclasses" not in loaded
+    assert hilb_modules(loaded) == layers
+    if code:
+        assert out == ""
+    elif "--format json" in argv:
+        assert json.loads(out)["command"] == argv.split()[0]
+    assert cli.main(argv.split()) == code
+    assert capsys.readouterr() == (out, stderr)
+
+
+# argv (run with --format json), the hilb modules it loads and its exit
+# code, one per subcommand and per refusal of verify; an argv that is also
+# a PROCESS_RUNS row reuses that row's process
+LOAD_RUNS = [
+    ("partitions --n 3", PARTITIONS, 0),
+    ("betti --space affine --n 3", CELLS, 0),
+    ("betti --space punctual --n 3", CELLS, 0),
+    ("incidence --n 3", INCIDENCE, 0),
+    ("strata --n 3", STRATA, 0),
+    ("nakajima --n 3", LATTICE, 0),
+    ("lattice --blowup 2", LATTICE, 0),
+    ("goettsche --betti 1,0,1,0,1 --torder 2", SERIES, 0),
+    ("goettsche --betti 1,0,1,0,1 --torder 2 --compare-fixed-points", SERIES | CELLS, 0),
+    ("verify --all --nmax 2", EVERY, 0),
+    ("verify --nmax 4", BASE, 2),
+    ("verify --all --nmax 0", BASE, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, layers, code", LOAD_RUNS,
+    # pytest's own ids would end in the exit code; these keep "<argv>-layers<row>"
+    ids=[f"{argv}-layers{row}" for row, (argv, *_) in enumerate(LOAD_RUNS)],
+)
+def test_subcommand_loads_only_its_layers(argv, layers, code):
+    got, _, _, loaded = cli_process(f"{argv} --format json")
+    assert (got, "dataclasses" in loaded) == (code, False)
+    assert hilb_modules(loaded) == layers
 
 
 def test_verify_process_matches_in_process(capsys):
     # no golden holds verify's stdout, so compare the process with main()
     argv = "verify --all --nmax 4 --format json"
-    proc = run_process(argv)
+    got, out, rest, _ = cli_process(argv)
     code = cli.main(argv.split())
     assert code == 0
-    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (code, capsys.readouterr().out, b"")
-
-
-# Every subcommand and every refusal as a process: (argv, exit code, stderr).
-# Exit 0 prints one JSON record of argv's subcommand and nothing on stderr;
-# exit 2 prints nothing on stdout and exactly one "error: ..." line.
-PROCESS_RUNS = [
-    ("partitions --n 4 --format json", 0, ""),
-    ("betti --space affine --n 3 --format json", 0, ""),
-    ("betti --space punctual --n 3 --format json", 0, ""),
-    ("incidence --n 4 --format json", 0, ""),
-    ("incidence --n 4 --check jumps --format json", 0, ""),
-    ("incidence --n 4 --check euler --format json", 0, ""),
-    ("strata --n 4 --format json", 0, ""),
-    ("nakajima --n 5 --format json", 0, ""),
-    ("nakajima --n 5 --method recurrence --format json", 0, ""),
-    ("nakajima --n 5 --method closed --format json", 0, ""),
-    ("nakajima --n 3000 --method both --format json", 0, ""),
-    ("lattice --blowup 2 --format json", 0, ""),
-    ("lattice --blowup 4 --square-exceptional --format json", 0, ""),
-    ("lattice --blowup 3000 --square-exceptional --format json", 0, ""),
-    ("goettsche --betti 1,0,1,0,1 --torder 3 --compare-fixed-points --format json", 0, ""),
-    ("goettsche --betti 1,0,22,0,1 --torder 4 --format json", 0, ""),
-    ("goettsche --betti 1,0,22,0,1 --torder 30 --format json", 0, ""),
-    ("goettsche --betti 1,0,3000,0,1 --torder 3 --format json", 0, ""),
-    ("verify --all --nmax 12 --format json", 0, ""),
-    ("partitions --n -1", 2, "error: --n must be at least 0, got -1\n"),
-    ("betti --space affine --n -1", 2, "error: --n must be at least 0, got -1\n"),
-    ("betti --space p2 --n -1", 2, "error: --n must be at least 0, got -1\n"),
-    ("betti --space punctual --n 0", 2, "error: punctual locus undefined for n = 0\n"),
-    ("betti --space affine --n 2 --rho zap", 2,
-     "error: --rho wants two comma-separated integers, got 'zap'\n"),
-    ("betti --space affine --n 2 --rho a,b", 2,
-     "error: --rho wants two comma-separated integers, got 'a,b'\n"),
-    ("betti --space affine --n 2 --rho 1,1", 2,
-     "error: non-generic one-parameter subgroup: rho=(1, 1) pairs to zero with weight (-1, 1)\n"),
-    ("betti --space p2 --n 3 --rho 0,0", 2,
-     "error: non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with weight (3, 0)\n"),
-    ("betti --space affine --n 0 --rho 0,0", 2,
-     "error: non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with every weight\n"),
-    ("betti --space p2 --n 0 --rho 0,0", 2,
-     "error: non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with every weight\n"),
-    ("betti --space punctual --n 3 --rho 1,5", 2,
-     "error: --rho does not apply to the punctual locus\n"),
-    ("incidence --n -1", 2, "error: --n must be at least 0, got -1\n"),
-    ("strata --n 0", 2, "error: --n must be at least 1, got 0\n"),
-    ("nakajima --n 0", 2, "error: --n must be at least 1, got 0\n"),
-    ("lattice --blowup -1", 2, "error: --blowup must be at least 0, got -1\n"),
-    ("lattice --blowup 0 --square-exceptional", 2,
-     "error: --square-exceptional needs at least one blown-up point\n"),
-    ("goettsche --betti 1,0,1,0,1 --torder -1", 2, "error: --torder must be at least 0, got -1\n"),
-    ("goettsche --betti 1,0,1 --torder 2", 2,
-     "error: --betti wants five comma-separated integers, got '1,0,1'\n"),
-    ("goettsche --betti 1,0,-1,0,1 --torder 2", 2,
-     "error: Betti numbers must be non-negative, got (1, 0, -1, 0, 1)\n"),
-    ("goettsche --betti 1,1,1,0,1 --torder 2", 2,
-     "error: Betti numbers must be symmetric, got (1, 1, 1, 0, 1)\n"),
-    ("goettsche --betti 1,0,1,0,2 --torder 2", 2,
-     "error: a connected surface needs b0 = b4 = 1, got (1, 0, 1, 0, 2)\n"),
-    ("goettsche --betti 1,1,1,1,1 --torder 2", 2, "error: odd cohomology unsupported\n"),
-    ("goettsche --betti 1,0,22,0,1 --torder 2 --compare-fixed-points", 2,
-     "error: --compare-fixed-points needs the projective-plane Betti numbers 1,0,1,0,1\n"),
-    ("verify --nmax 4", 2, "error: pass --all to run the invariant suite\n"),
-    ("verify --all --nmax 0", 2, "error: --nmax must be at least 1, got 0\n"),
-]
-
-
-@pytest.mark.parametrize("argv, code, stderr", PROCESS_RUNS, ids=[row[0] for row in PROCESS_RUNS])
-def test_process_run(argv, code, stderr):
-    proc = run_process(argv)
-    assert (proc.returncode, proc.stderr.decode()) == (code, stderr)
-    if code:
-        assert proc.stdout == b""
-    else:
-        assert json.loads(proc.stdout)["command"] == argv.split()[0]
+    assert (got, out, rest) == (code, capsys.readouterr().out, "")
