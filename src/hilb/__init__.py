@@ -9,8 +9,6 @@ c_n = (-1)^(n-1) n; and the Goettsche/Heisenberg generating-series
 correspondence with its commutator checks.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # Each layer is imported on first use, so a process loads only the layers
@@ -92,14 +90,16 @@ __all__ = ["__version__", *_SOURCE]
 
 def __getattr__(name: str):
     """Import a layer, or a re-exported name's layer, on first access."""
-    if name in _LAYERS:
-        # importing a submodule binds it in this namespace
-        return importlib.import_module(f"{__name__}.{name}")
-    layer = _SOURCE.get(name)
+    layer = name if name in _LAYERS else _SOURCE.get(name)
     if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{layer}"), name)
-    globals()[name] = value
+    # importing a submodule binds it in this namespace; unlike
+    # importlib.import_module, __import__ shows in `python -X importtime`
+    __import__(f"{__name__}.{layer}")
+    module = globals()[layer]
+    if layer == name:
+        return module
+    value = globals()[name] = getattr(module, name)
     return value
 
 

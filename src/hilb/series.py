@@ -16,13 +16,16 @@ coefficient-wise equality is a real cross-check:
 Both keep the t^n row of the series as one packed int, whose slot h of
 _slot_bits(surface, truncation) bits holds the coefficient of u^(2h), so
 multiplying a row by t^m u^(2k) is one shift and adding rows is one
-integer addition; no slot ever carries into the next (_slot_bits proves
+integer addition. A slot is one bit wider than p_chi(T), the number of
+chi-coloured partitions of the truncation T, which bounds every
+coefficient; so no slot ever carries into the next (_slot_bits proves
 the width), and one unpacker builds the validated GradedSeries.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from types import MappingProxyType
 from typing import Optional
 
@@ -145,11 +148,12 @@ class GradedSeries(Record):
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     def t_slice(self, n: int) -> dict[int, int]:
-        """Coefficients of t^n as a {u-degree: coefficient} map."""
+        """Coefficients of t^n as a {u-degree: coefficient} map, by ascending u-degree."""
         n = as_size(n, 0, "t-degree")
         if n > self.truncation:
             raise ValueError(f"t-degree out of range: {n}")
-        return {m: c for (nn, m), c in self.coeffs.items() if nn == n}
+        get = self.coeffs.get
+        return {m: c for m in range(0, 4 * n + 1, 2) if (c := get((n, m)))}
 
     def u_one(self, n: int) -> int:
         """Specialize u = 1 in the t^n slice (an Euler characteristic)."""
@@ -163,23 +167,33 @@ class GradedSeries(Record):
 
 
 def _slot_bits(surface: SurfaceModel, truncation: int) -> int:
-    """Bits per u-slot of a packed series row: max(1, T * bit_length(2 * chi)).
+    """Bits per u-slot of a packed series row: bit_length(p_chi(T)) + 1.
 
     A packed row n is one int whose slot h, bits [h*B, (h+1)*B), holds
     the coefficient of t^n u^(2h). Slots never carry. Every factor of
     either product has non-negative coefficients and constant term 1, so
-    no partial product or partial sum exceeds the final coefficient. With
-    chi = sum(betti) >= 2 classes, the final coefficient of t^n u^(2h) is
-    at most the number of chi-coloured partitions of n, and writing the
-    parts of each in sorted order makes it a chi-coloured composition, of
-    which there are sum_k C(n-1, k-1) chi^k <= 2^(n-1) chi^n. With
-    L = bit_length(2 chi), chi < 2^(L-1), so for 1 <= n <= T the
-    coefficient is below 2^(n-1) * 2^(n(L-1)) <= 2^(T*L - 1): its bit
-    length is below B, and at n = 0 it is 1. Shifting row n - m by
-    k = m - 1 + d/2 slots keeps h <= 2n, since row n - m ends at slot
-    2(n - m) and 2(n - m) + k <= 2n - m + 1 <= 2n.
+    no partial product or partial sum exceeds the final coefficient.
+    With chi = sum(betti) classes there are chi generators per level, so
+    the final row n sums at u = 1 to p_chi(n), the number of
+    chi-coloured partitions of n, and each of its coefficients is at
+    most p_chi(n) <= p_chi(T) for n <= T (adding a part 1 is an
+    injection): its bit length is below B, so the top bit of every slot
+    stays clear. Shifting row n - m by k = m - 1 + d/2 slots keeps
+    h <= 2n, since row n - m ends at slot 2(n - m) and
+    2(n - m) + k <= 2n - m + 1 <= 2n.
+
+    p_chi(T) comes from the Euler transform of prod (1 - t^k)^(-chi),
+    n a_n = chi * sum_k sigma(k) a_(n-k), and not from either series.
     """
-    return max(1, truncation * (2 * surface.euler_characteristic()).bit_length())
+    chi = surface.euler_characteristic()
+    sigma = [0] * truncation  # sigma[k - 1]: the sum of the divisors of k
+    for d in range(1, truncation + 1):
+        for k in range(d - 1, truncation, d):
+            sigma[k] += d
+    counts = [1]  # p_chi(0), ..., p_chi(n - 1)
+    for n in range(1, truncation + 1):
+        counts.append(chi * sum(map(operator.mul, sigma, reversed(counts))) // n)
+    return counts[-1].bit_length() + 1
 
 
 def _series(rows: list[int], bits: int) -> GradedSeries:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import hilb.heisenberg
 import hilb.series
+from hilb.errors import as_int
 from hilb import (
     FockState,
     IntersectionLattice,
@@ -291,6 +292,68 @@ def test_fock_states_hold_integers_only(size_gate):
     size_gate(lambda m: create(vacuum(P2), m, "h"), "creation level", 1)
     size_gate(lambda m: annihilate(create(vacuum(P2), 1, "h"), m, "h"), "annihilation level", 1)
     size_gate(lambda t: basis_monomials(P2, t), "t-weight", 0)
+
+
+def reference_canonical_terms(surface, terms):
+    # the public constructor's canonicalisation before its one-pass check:
+    # every monomial has its levels coerced, then is sorted, then checked
+    clean = {}
+    for mono, c in terms.items():
+        for level, _ in mono:
+            if type(level) is not int:
+                mono = [(as_int(lv, "creation levels must be integers"), lb) for lv, lb in mono]
+                break
+        mono = tuple(sorted(mono))
+        for level, label in mono:
+            if level < 1:
+                raise ValueError(f"creation level must be at least 1, got {level}")
+            surface.degree(label)
+        c = as_int(c, "Fock coefficients must be integers") + clean.get(mono, 0)
+        if c:
+            clean[mono] = c
+        else:
+            clean.pop(mono, None)
+    return clean
+
+
+@st.composite
+def raw_terms(draw):
+    # unsorted factors with bool levels, and each monomial maybe again in
+    # reverse with the opposite coefficient, so that terms cancel to zero;
+    # half the draws also hold level 0, a float level, an unknown label or
+    # a label that is no str
+    surface = draw(st.sampled_from((P2, SKEW, ELEVEN)))
+    level = st.one_of(st.integers(1, 3), st.just(True))
+    label = st.sampled_from(surface.labels())
+    if draw(st.booleans()):
+        level = st.one_of(level, st.sampled_from((0, False, 2.5)))
+        label = st.one_of(label, st.sampled_from(("nope", 1, None)))
+    monos = st.lists(st.tuples(level, label), max_size=4).map(tuple)
+    terms = {}
+    for mono, c, cancel in draw(
+        st.lists(st.tuples(monos, st.integers(-2, 2), st.booleans()), max_size=5)
+    ):
+        terms[mono] = c
+        if cancel:
+            terms[mono[::-1]] = -c
+    return surface, terms
+
+
+def canonicalised(call):
+    try:
+        return repr(call())
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(raw_terms())
+def test_fock_state_canonicalises_as_the_reference(drawn):
+    # the one-pass check of exact valid factors gives the same terms, and a
+    # failing monomial the same error naming the same factor
+    surface, terms = drawn
+    want = canonicalised(lambda: reference_canonical_terms(surface, terms))
+    assert canonicalised(lambda: dict(FockState(surface, terms).terms)) == want
 
 
 def test_fock_states_are_immutable():
@@ -703,6 +766,27 @@ def test_packed_series_match_a_dense_product(surface, tmax):
         # no slot carries into the next: the top bit of every slot stays clear
         for n in range(tmax + 1):
             assert max(series.t_slice(n).values()).bit_length() < bits
+
+
+def test_series_match_those_of_the_old_slot_width(monkeypatch):
+    # rows n <= T of a series do not depend on T, so one series per surface
+    # at the old width T * bit_length(2 chi) is the reference for every T
+    tops = [(P2, 60), (K3, 60), (SKEW, 60), (SurfaceModel((1, 0, 3000, 0, 1)), 3)]
+    with monkeypatch.context() as patched:
+        patched.setattr(
+            hilb.series,
+            "_slot_bits",
+            lambda surface, t: max(1, t * (2 * surface.euler_characteristic()).bit_length()),
+        )
+        wide = [(s, top, goettsche_series(s, top), fock_character(s, top)) for s, top in tops]
+    for surface, top, old_goettsche, old_fock in wide:
+        assert old_goettsche == old_fock
+        for tmax in range(top + 1):
+            want = {key: c for key, c in old_fock.coeffs.items() if key[0] <= tmax}
+            assert goettsche_series(surface, tmax).coeffs == want
+            assert fock_character(surface, tmax).coeffs == want
+    # bit_length(p_24(T)) + 1, not the 600 / 1,200 / 2,400 bits of the old width
+    assert [hilb.series._slot_bits(K3, t) for t in (100, 200, 400)] == [136, 205, 304]
 
 
 def test_degree_rejects_unknown_labels():

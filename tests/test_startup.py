@@ -238,16 +238,16 @@ PROCESS_RUNS = [
 ]
 
 
-@functools.cache
-def cli_process(argv: str) -> tuple:
-    """`python -W error -X importtime -m hilb.cli <argv>`, run once per argv:
-    its exit code, stdout, the rest of its stderr and the modules it loaded."""
+def importtime_process(*args: str) -> tuple:
+    """`python -W error -X importtime <args>`: its exit code, stdout, the
+    rest of its stderr and the modules it loaded."""
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-X", "importtime", "-m", "hilb.cli", *argv.split()],
+        [sys.executable, "-W", "error", "-X", "importtime", *args],
         env=child_env(), capture_output=True, timeout=120,
     )
     # each "import time:" line ends in "| <module>", indented by its depth;
-    # the log has what import statements load, not importlib.import_module
+    # the log has what import statements and __import__ load, not
+    # importlib.import_module
     log, rest = [], []
     for line in proc.stderr.decode().splitlines(keepends=True):
         (log if line.startswith("import time:") else rest).append(line)
@@ -255,8 +255,24 @@ def cli_process(argv: str) -> tuple:
     return proc.returncode, proc.stdout.decode(), "".join(rest), loaded
 
 
+@functools.cache
+def cli_process(argv: str) -> tuple:
+    """`python -W error -X importtime -m hilb.cli <argv>`, run once per argv."""
+    return importtime_process("-m", "hilb.cli", *argv.split())
+
+
 def hilb_modules(loaded) -> set:
     return {m for m in loaded if m == "hilb" or m.startswith("hilb.")}
+
+
+def test_import_log_sees_layers_the_package_root_loads():
+    # PROCESS_RUNS pins the modules the import log names, so a layer that
+    # hilb.__getattr__ loads on first access must show in that log
+    code, out, rest, loaded = importtime_process(
+        "-c", "import hilb; hilb.series; hilb.enumerate_partitions"
+    )
+    assert (code, out, rest) == (0, "", "")
+    assert hilb_modules(loaded) == SERIES | {"hilb.partitions"}
 
 
 @pytest.mark.parametrize(
