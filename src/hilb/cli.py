@@ -223,47 +223,50 @@ def cmd_verify(args) -> tuple[dict, dict]:
     return {"nmax": args.nmax, "all": True}, payload
 
 
+_N = ("--n", {"type": int, "required": True})
+# name -> (handler, help, arguments after --format), in `hilb --help` order
+_COMMANDS = {
+    "partitions": (cmd_partitions, "list the partitions of n", [_N]),
+    "betti": (cmd_betti, "Poincare polynomial of a Hilbert scheme", [
+        ("--space", {"choices": ("affine", "p2", "punctual"), "required": True}),
+        _N,
+        ("--rho", {"help": "one-parameter subgroup A,B (default: generic)"}),
+    ]),
+    "incidence": (cmd_incidence, "nested-pair checks up to size n", [
+        _N,
+        ("--check", {"choices": tuple(_INCIDENCE_COLUMNS), "default": "all"}),
+    ]),
+    "strata": (cmd_strata, "generator-count strata bounds at size n", [_N]),
+    "nakajima": (cmd_nakajima, "Nakajima constants c_1..c_n", [
+        _N,
+        ("--method", {"choices": ("recurrence", "closed", "both"), "default": "both"}),
+    ]),
+    "lattice": (cmd_lattice, "blow-up intersection lattice", [
+        ("--blowup", {"type": int, "required": True, "metavar": "K"}),
+        ("--square-exceptional", {"action": "store_true"}),
+    ]),
+    "goettsche": (cmd_goettsche, "bigraded series of a surface model", [
+        ("--betti", {"required": True, "metavar": "B0,B1,B2,B3,B4"}),
+        ("--torder", {"type": int, "required": True}),
+        ("--compare-fixed-points", {"action": "store_true"}),
+    ]),
+    "verify": (cmd_verify, "run the full invariant suite", [
+        ("--all", {"action": "store_true"}),
+        ("--nmax", {"type": int, "default": 12}),
+    ]),
+}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The `hilb` parser; given a subcommand's name, only it gets its arguments.
 
     Each call of the CLI parses one subcommand, so building the others'
     arguments, and their -h, is start-up time spent for nothing. Every
     subcommand is still registered with its help text, so the top-level
-    usage and errors read the same. With no name, or a word that names
-    no subcommand (`hilb --help`, `hilb nosuch`), all eight are built.
+    usage and errors read the same. `main` always passes a name, "" when
+    argv names no subcommand, which builds none of their arguments; with
+    no name, all eight are built, as the tests' reference.
     """
-    n = ("--n", {"type": int, "required": True})
-    # name -> (handler, help, arguments after --format), in `hilb --help` order
-    commands = {
-        "partitions": (cmd_partitions, "list the partitions of n", [n]),
-        "betti": (cmd_betti, "Poincare polynomial of a Hilbert scheme", [
-            ("--space", {"choices": ("affine", "p2", "punctual"), "required": True}),
-            n,
-            ("--rho", {"help": "one-parameter subgroup A,B (default: generic)"}),
-        ]),
-        "incidence": (cmd_incidence, "nested-pair checks up to size n", [
-            n,
-            ("--check", {"choices": tuple(_INCIDENCE_COLUMNS), "default": "all"}),
-        ]),
-        "strata": (cmd_strata, "generator-count strata bounds at size n", [n]),
-        "nakajima": (cmd_nakajima, "Nakajima constants c_1..c_n", [
-            n,
-            ("--method", {"choices": ("recurrence", "closed", "both"), "default": "both"}),
-        ]),
-        "lattice": (cmd_lattice, "blow-up intersection lattice", [
-            ("--blowup", {"type": int, "required": True, "metavar": "K"}),
-            ("--square-exceptional", {"action": "store_true"}),
-        ]),
-        "goettsche": (cmd_goettsche, "bigraded series of a surface model", [
-            ("--betti", {"required": True, "metavar": "B0,B1,B2,B3,B4"}),
-            ("--torder", {"type": int, "required": True}),
-            ("--compare-fixed-points", {"action": "store_true"}),
-        ]),
-        "verify": (cmd_verify, "run the full invariant suite", [
-            ("--all", {"action": "store_true"}),
-            ("--nmax", {"type": int, "default": 12}),
-        ]),
-    }
     parser = argparse.ArgumentParser(
         prog="hilb",
         description="Exact combinatorics of Hilbert schemes of points on surfaces.",
@@ -272,9 +275,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    lean = command in commands
-    for name, (handler, help_text, arguments) in commands.items():
-        if lean and name != command:
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        if command is not None and name != command:
             # named in the top-level usage, but never parses
             sub.add_parser(name, help=help_text, add_help=False)
             continue
@@ -345,7 +347,11 @@ def _emit(record: dict, fmt: str) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # argparse reads the first word that is no option as the subcommand and
+    # stops at top level unless it names one, so only the first word that
+    # names a subcommand can need its arguments
+    command = next((word for word in argv if word in _COMMANDS), "")
+    args = build_parser(command).parse_args(argv)
     try:
         parameters, payload = args.handler(args)
     except ConsistencyError as e:

@@ -33,18 +33,10 @@ from typing import Iterable, NamedTuple, Optional
 from .common import Record
 from .errors import as_int, as_size
 from .lattice import nakajima_closed_form
-from .series import (
-    GradedSeries,
-    SurfaceModel,
-    fock_character,
-    goettsche_series,
-    k3_surface,
-    p2_surface,
-)
+from .series import SurfaceModel, fock_character
 
-# The surface models and series are defined in their own module, so that
-# `hilb goettsche` need not compile the Fock operators; they stay
-# importable from here.
+# read here by perfbench/workloads.py until ROADMAP item 21 deletes them
+from .series import goettsche_series, k3_surface, p2_surface
 
 
 # A Fock monomial is a sorted tuple of (level, class-label) factors; the
@@ -71,16 +63,19 @@ class FockState(Record):
         clean: dict[FockMonomial, int] = {}
         for mono, c in (terms or {}).items():
             # exact valid factors need one pass and a sort; this loop runs
-            # once per probe, and only a failing monomial takes _canonical
-            for level, label in mono:
-                if not (
-                    type(level) is int
-                    and level >= 1
-                    and type(label) is str
-                    and label in surface._degrees
-                ):
-                    mono = _canonical(surface, mono)
-                    break
+            # once per probe, and only a monomial that fails it, or that it
+            # cannot unpack, takes _canonical
+            try:
+                for level, label in mono:
+                    if not (
+                        type(level) is int
+                        and level >= 1
+                        and type(label) is str
+                        and label in surface._degrees
+                    ):
+                        raise ValueError
+            except (TypeError, ValueError):
+                mono = _canonical(surface, mono)
             else:
                 mono = tuple(sorted(mono))
             if type(c) is not int:
@@ -143,13 +138,36 @@ class FockState(Record):
 def _canonical(surface: SurfaceModel, mono) -> FockMonomial:
     """mono with its levels coerced, then sorted, then checked factor by factor.
 
-    The first factor in sorted order that fails names the error.
+    A monomial that cannot be iterated, or a factor that is no (level,
+    label) pair, is refused before anything is coerced. Then the first
+    factor in sorted order that fails names the error; if the labels do
+    not sort, the first label in mono's order that is no str does.
     """
-    for level, _ in mono:
+    try:
+        factors = list(mono)
+    except TypeError:
+        raise ValueError(
+            f"Fock monomials must be iterables of (level, label) factors, got {mono!r}"
+        ) from None
+    for i, factor in enumerate(factors):
+        try:
+            level, label = factor
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"Fock factors must be (level, label) pairs, got {factor!r}"
+            ) from None
+        factors[i] = (level, label)
+    for level, _ in factors:
         if type(level) is not int:
-            mono = [(as_int(lv, "creation levels must be integers"), lb) for lv, lb in mono]
+            factors = [(as_int(lv, "creation levels must be integers"), lb) for lv, lb in factors]
             break
-    mono = tuple(sorted(mono))
+    try:
+        mono = tuple(sorted(factors))
+    except TypeError:
+        for _, label in factors:
+            if not isinstance(label, str):
+                surface.degree(label)
+        raise
     for level, label in mono:
         if level < 1:
             raise ValueError(f"creation level must be at least 1, got {level}")

@@ -16,11 +16,9 @@ from .common import Record
 from .errors import ConsistencyError, as_size
 from .monomial import generator_count, socle_count
 from .partitions import Partition, as_partition, enumerate_partitions
-from .strata import StrataBoundTable, strata_base, strata_propagate, strata_table
 
-# The strata tables are defined in their own leaf module, so that
-# `hilb strata` need not load partitions or staircases; they stay
-# importable from here.
+# read here by perfbench/workloads.py until ROADMAP item 21 deletes it
+from .strata import strata_table
 
 
 class NestedPair(Record):

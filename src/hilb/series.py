@@ -132,7 +132,13 @@ class GradedSeries(Record):
     def __init__(self, truncation: int, coeffs: Optional[dict] = None):
         truncation = as_size(truncation, 0, "truncation")
         clean: dict[tuple[int, int], int] = {}
-        for (n, m), c in (coeffs or {}).items():
+        for key, c in (coeffs or {}).items():
+            try:
+                n, m = key
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"series keys must be (t-degree, u-degree) pairs, got {key!r}"
+                ) from None
             # exact ints need no coercion, and every series term is built here
             if type(n) is not int or type(m) is not int or type(c) is not int:
                 n = as_int(n, "t-degrees must be integers")

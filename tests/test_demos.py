@@ -1,16 +1,15 @@
-"""The demos' output, byte for byte: each runs as a `-W error` process and
-its stdout must hash to the value recorded here.
+"""The demos' output, byte for byte: each runs as a `-W error` process,
+through `test_startup.importtime_process`, and its stdout must hash to
+the value recorded here.
 
 A change that alters a demo's output on purpose records the new hash."""
 
 import hashlib
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from test_startup import child_env
+from test_startup import importtime_process
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,9 +28,6 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("demo", sorted(STDOUT_SHA256))
 def test_demo_output_is_byte_identical(demo):
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
-        env=child_env(), capture_output=True, timeout=120,
-    )
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo]
+    code, out, rest, _ = importtime_process(str(ROOT / "demos" / demo))
+    assert (code, rest) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[demo]

@@ -222,12 +222,17 @@ def test_series_validation(size_gate):
         GradedSeries(2, {(3, 0): 1})  # beyond truncation
     with pytest.raises(ValueError):
         GradedSeries(2, {(1, 6): 1})  # u-degree above 4n
-    # the truncation, both degrees and the coefficients are integers; bools pass
+    # the truncation, both degrees and the coefficients are integers, keyed
+    # by (t-degree, u-degree) pairs; bools pass
+    pairs = r"series keys must be \(t-degree, u-degree\) pairs"
     for call, shown in (
         (lambda: GradedSeries(2.5, {}), r"truncation must be an integer, got 2\.5"),
         (lambda: GradedSeries(2, {(1.0, 2): 1}), r"t-degrees must be integers, got 1\.0"),
         (lambda: GradedSeries(2, {(1, "2"): 1}), r"u-degrees must be integers, got '2'"),
         (lambda: GradedSeries(2, {(1, 2): 1.5}), r"series coefficients must be integers, got 1\.5"),
+        (lambda: GradedSeries(2, {1: 1}), rf"{pairs}, got 1"),
+        (lambda: GradedSeries(2, {(1,): 1}), rf"{pairs}, got \(1,\)"),
+        (lambda: GradedSeries(2, {(1, 2, 3): 1}), rf"{pairs}, got \(1, 2, 3\)"),
     ):
         with pytest.raises(ValueError, match=f"^{shown}$"):
             call()
@@ -288,6 +293,16 @@ def test_fock_states_hold_integers_only(size_gate):
     assert True * vacuum(P2) == vacuum(P2)
     with pytest.raises(ValueError, match="^creation level must be at least 1, got 0$"):
         FockState(P2, {((0, "h"),): 1})
+    # malformed monomials: not iterable, a factor that is no pair, and
+    # labels that do not sort, which used to raise TypeError or a bare
+    # unpacking ValueError
+    for terms, shown in (
+        ({5: 1}, r"Fock monomials must be iterables of \(level, label\) factors, got 5"),
+        ({((1, "h", 3),): 1}, r"Fock factors must be \(level, label\) pairs, got \(1, 'h', 3\)"),
+        ({((1, 5), (1, "h")): 1}, "no cohomology class named 5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{shown}$"):
+            FockState(P2, terms)
     # create(vac, 1.5, "h") used to build the state a[-1.5](h)
     size_gate(lambda m: create(vacuum(P2), m, "h"), "creation level", 1)
     size_gate(lambda m: annihilate(create(vacuum(P2), 1, "h"), m, "h"), "annihilation level", 1)
@@ -296,14 +311,29 @@ def test_fock_states_hold_integers_only(size_gate):
 
 def reference_canonical_terms(surface, terms):
     # the public constructor's canonicalisation before its one-pass check:
-    # every monomial has its levels coerced, then is sorted, then checked
+    # every monomial has its shape checked, its levels coerced, then is
+    # sorted, then checked; labels that do not sort name the first non-str
     clean = {}
     for mono, c in terms.items():
-        for level, _ in mono:
-            if type(level) is not int:
-                mono = [(as_int(lv, "creation levels must be integers"), lb) for lv, lb in mono]
-                break
-        mono = tuple(sorted(mono))
+        try:
+            mono = list(mono)
+        except TypeError:
+            raise ValueError(
+                f"Fock monomials must be iterables of (level, label) factors, got {mono!r}"
+            ) from None
+        for i, factor in enumerate(mono):
+            try:
+                mono[i] = tuple(factor)
+            except TypeError:
+                mono[i] = ()
+            if len(mono[i]) != 2:
+                raise ValueError(f"Fock factors must be (level, label) pairs, got {factor!r}")
+        if any(type(level) is not int for level, _ in mono):
+            mono = [(as_int(lv, "creation levels must be integers"), lb) for lv, lb in mono]
+        try:
+            mono = tuple(sorted(mono))
+        except TypeError:
+            surface.degree(next(lb for _, lb in mono if not isinstance(lb, str)))
         for level, label in mono:
             if level < 1:
                 raise ValueError(f"creation level must be at least 1, got {level}")
@@ -320,15 +350,17 @@ def reference_canonical_terms(surface, terms):
 def raw_terms(draw):
     # unsorted factors with bool levels, and each monomial maybe again in
     # reverse with the opposite coefficient, so that terms cancel to zero;
-    # half the draws also hold level 0, a float level, an unknown label or
-    # a label that is no str
+    # half the draws also hold level 0, a float level, an unknown label, a
+    # label that is no str or a factor that is no pair
     surface = draw(st.sampled_from((P2, SKEW, ELEVEN)))
     level = st.one_of(st.integers(1, 3), st.just(True))
     label = st.sampled_from(surface.labels())
+    factor = st.tuples(level, label)
     if draw(st.booleans()):
         level = st.one_of(level, st.sampled_from((0, False, 2.5)))
         label = st.one_of(label, st.sampled_from(("nope", 1, None)))
-    monos = st.lists(st.tuples(level, label), max_size=4).map(tuple)
+        factor = st.one_of(st.tuples(level, label), st.sampled_from(((1,), (1, "pt", 3))))
+    monos = st.lists(factor, max_size=4).map(tuple)
     terms = {}
     for mono, c, cancel in draw(
         st.lists(st.tuples(monos, st.integers(-2, 2), st.booleans()), max_size=5)

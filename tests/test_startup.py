@@ -1,14 +1,16 @@
 """Start-up: the lazy package root, records without dataclasses, and the
 command line as processes.
 
+`importtime_process` starts every non-streaming Python process of the
+tests: `python -W error -X importtime <args>`, read back as its exit code,
+stdout, the rest of its stderr and the modules its import log names.
 `PROCESS_RUNS` is the one table of CLI processes: each row is an argv, its
 exit code, its exact stderr and the hilb modules it loads. Each row runs
-once as `python -W error -X importtime -m hilb.cli <argv>`; the import log
-gives the modules loaded (never `dataclasses`), the rest of stderr must be
-the row's, and `cli.main` in process must print the same stdout and stderr
-and return the same exit code. `test_cli_output_matches_bench_goldens`
-pins the in-process stdout of the benchmark's calls byte for byte.
-`LOAD_RUNS` and the verify comparison read the same once-per-argv runs."""
+once as `-m hilb.cli <argv>`; it must load no `dataclasses`, and
+`cli.main` in process must print the same stdout and stderr and return
+the same exit code. `LOAD_RUNS` reads the same once-per-argv runs, and
+`test_cli_output_matches_bench_goldens` pins the in-process stdout of the
+benchmark's calls byte for byte."""
 
 import functools
 import importlib
@@ -83,11 +85,8 @@ def test_leaf_reexport_loads_only_its_module(name, loaded):
         f"import sys, hilb; hilb.{name}; "
         "print(*(m for m in sys.modules if m == 'hilb' or m.startswith('hilb.')))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", probe],
-        env=child_env(), capture_output=True, text=True, timeout=120,
-    )
-    assert (set(proc.stdout.split()), proc.stderr) == (loaded, "")
+    code, out, rest, _ = importtime_process("-c", probe)
+    assert (code, set(out.split()), rest) == (0, loaded, "")
 
 
 @pytest.mark.parametrize(
@@ -161,7 +160,8 @@ EVERY = {"hilb", *(f"hilb.{layer}" for layer in LAYERS if layer != "cli")}
 # stderr, hilb modules loaded). Exit 0 prints nothing on stderr, and in
 # json one record of argv's subcommand; the table and csv rows are the
 # benchmark's cli-oneshot calls. Exit 2 prints nothing on stdout and
-# exactly one "error: ..." line.
+# exactly one "error: ..." line. No golden holds verify's stdout, so its
+# row's comparison with cli.main is what pins it.
 PROCESS_RUNS = [
     ("partitions --n 4 --format json", 0, "", PARTITIONS),
     ("partitions --n 5 --format table", 0, "", PARTITIONS),
@@ -319,12 +319,3 @@ def test_subcommand_loads_only_its_layers(argv, layers, code):
     got, _, _, loaded = cli_process(f"{argv} --format json")
     assert (got, "dataclasses" in loaded) == (code, False)
     assert hilb_modules(loaded) == layers
-
-
-def test_verify_process_matches_in_process(capsys):
-    # no golden holds verify's stdout, so compare the process with main()
-    argv = "verify --all --nmax 4 --format json"
-    got, out, rest, _ = cli_process(argv)
-    code = cli.main(argv.split())
-    assert code == 0
-    assert (got, out, rest) == (code, capsys.readouterr().out, "")
