@@ -5,6 +5,10 @@ partition of n. Its tangent space splits into 2n one-dimensional
 characters; pairing each against a generic one-parameter subgroup and
 counting negative pairings gives the attracting-cell dimension, and
 summing q^(2 dim) over fixed points gives the Poincare polynomial.
+The projective plane is compact, so any generic subgroup will do there;
+the affine plane is not, and its cells count its Betti numbers only for
+a subgroup that contracts it, one with both entries positive
+(Ellingsrud and Stromme, Invent. Math. 87, 1987).
 
 Weight convention for a box with arm a and leg l, in chart coordinates
 with characters (u, v):
@@ -239,6 +243,12 @@ def _cell_tables_at(
                 d = sum(map(neg.__getitem__, hs))
                 counts[d] = counts.get(d, 0) + 1
         tables.append(table)
+    if shape.charts == (AFFINE_CHART,) and (rho.a <= 0 or rho.b <= 0):
+        # after the wall scan, so a rho on a wall is still named as one
+        raise ValueError(
+            f"rho={tuple(rho)} does not contract the affine plane: "
+            "both entries must be positive"
+        )
     return rho, tables
 
 
@@ -259,7 +269,9 @@ def cell_tables(
     default_rho(n), wall-free by proof and still scanned like any other.
     Only a rho on a wall builds weight vectors: cell_dimension over
     tangent_weights, in chart, size and partition order, raises
-    NonGenericError naming the first zero weight.
+    NonGenericError naming the first zero weight. On the affine plane a
+    rho off every wall must still have both entries positive, or no cell
+    count is its Betti numbers: ValueError naming rho.
 
     The hook lists do not depend on rho: _hook_lists builds them and
     _cell_tables_at pairs them with one rho, so a caller that tries
@@ -294,7 +306,7 @@ def poincare_affine(n: int, rho: Optional[CharVector] = None) -> PoincarePoly:
     """Poincare polynomial of the Hilbert scheme of n points on the plane.
 
     With rho omitted default_rho(n) is used; a non-generic rho raises
-    NonGenericError.
+    NonGenericError, and one with an entry <= 0 ValueError.
     """
     return poincare_from_tables(cell_tables("affine", n, rho)[1], n)
 

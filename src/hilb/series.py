@@ -32,6 +32,11 @@ from typing import Optional
 from .common import IntersectionLattice, Record, format_poly
 from .errors import as_int, as_size
 
+# The largest b2 a SurfaceModel takes. Its basis, pairing and default form
+# grow linearly in b2 and are built before any series work: b2 = 100,000
+# takes about 0.1 s, and an unbounded b2 grew until it exhausted memory.
+MAX_B2 = 100_000
+
 
 class SurfaceModel(Record):
     """Even-cohomology surface: Betti numbers plus the intersection pairing.
@@ -40,9 +45,10 @@ class SurfaceModel(Record):
     degree 2, and one class "pt" in degree 4. The pairing couples "1" with
     "pt" with value 1 and degree-2 classes through `h2`, an
     IntersectionLattice of rank b2 (default: the identity form on
-    e1..e_b2, built in O(b2)); no other block is nonzero. An immutable
-    value defined by (betti, h2): it compares, hashes and pickles by
-    them alone, and unpickling sends them back through `__init__`.
+    e1..e_b2, built in O(b2)); no other block is nonzero. A b2 above
+    MAX_B2 is refused before any of it is built. An immutable value
+    defined by (betti, h2): it compares, hashes and pickles by them
+    alone, and unpickling sends them back through `__init__`.
     `basis`, `_degrees` and `_pairing` are derived from them for the Fock
     kernels' lookups.
     """
@@ -67,6 +73,8 @@ class SurfaceModel(Record):
             raise ValueError("odd cohomology unsupported")
         if any(b < 0 for b in betti):
             raise ValueError(f"Betti numbers must be non-negative, got {betti}")
+        if b2 > MAX_B2:
+            raise ValueError(f"b2 must be at most {MAX_B2}, got {b2}")
         if h2 is None:
             h2 = IntersectionLattice.from_entries(
                 {(i, i): 1 for i in range(b2)}, tuple(f"e{i + 1}" for i in range(b2))

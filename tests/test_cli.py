@@ -327,6 +327,10 @@ def test_false_verdict_exits_1(capsys, monkeypatch, module, name, fake, argv, ve
     code, record = run_json(capsys, argv.split())
     assert code == 1
     assert record["payload"][verdict] is False
+    # csv spells each false cell "false"
+    falses = sum(v is False for row in record["payload"]["rows"] for v in row)
+    code, out, err = run(capsys, argv.split() + ["--format", "csv"])
+    assert (code, err, out.count("false")) == (1, "", falses)
 
 
 def test_unknown_flags_exit_2(capsys):

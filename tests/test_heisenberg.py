@@ -110,6 +110,19 @@ def test_surface_model_refuses_asymmetric_and_negative_betti():
         SurfaceModel((1, 0, -1, 0, 1))
 
 
+def test_surface_model_refuses_b2_over_budget_before_building_its_form(monkeypatch):
+    def unbuilt(entries, labels):
+        raise AssertionError("IntersectionLattice.from_entries called")
+
+    monkeypatch.setattr(IntersectionLattice, "from_entries", unbuilt)
+    for b2 in (hilb.series.MAX_B2 + 1, 10**20):
+        with pytest.raises(ValueError, match=rf"^b2 must be at most 100000, got {b2}$"):
+            SurfaceModel((1, 0, b2, 0, 1))
+    # at the budget the default form is built
+    with pytest.raises(AssertionError, match="from_entries called"):
+        SurfaceModel((1, 0, hilb.series.MAX_B2, 0, 1))
+
+
 def test_degree_two_form_is_a_lattice_of_rank_b2():
     with pytest.raises(ValueError, match="^h2 must have rank b2 = 2, got rank 1$"):
         SurfaceModel((1, 0, 2, 0, 1), IntersectionLattice(((1,),), ("h",)))
@@ -271,6 +284,7 @@ def test_state_linear_algebra():
     combo = 3 * a + b - a
     assert combo == 2 * a + b
     assert (a - a).is_zero()
+    assert repr(a - a) == "FockState(0)"
     # a state of another surface is checked against this one
     with pytest.raises(ValueError, match="no cohomology class"):
         vac + create(vacuum(SKEW), 1, "f1")

@@ -145,6 +145,9 @@ def test_hilbert_burch_hook_frozen(size_gate):
         (0, 2),
     }
     assert all(t.coeff in (1, -1) for t in minors)
+    assert [str(t) for t in minors] == ["x^2", "-xy", "y^2"]
+    assert str(Term(3, Monomial(2, 1))) == "3*x^2y"
+    assert str(mat) == "[  y   0 ]\n[ -x   y ]\n[  0  -x ]"
     size_gate(mat.minor, "row index", 0)
     with pytest.raises(ValueError, match="^row index out of range: 3$"):
         mat.minor(3)

@@ -4,11 +4,11 @@ command line as processes.
 `importtime_process` starts every non-streaming Python process of the
 tests: `python -W error -X importtime <args>`, read back as its exit code,
 stdout, the rest of its stderr and the modules its import log names.
-`PROCESS_RUNS` is the one table of CLI processes: each row is an argv, its
-exit code, its exact stderr and the hilb modules it loads. Each row runs
-once as `-m hilb.cli <argv>`; it must load no `dataclasses`, and
-`cli.main` in process must print the same stdout and stderr and return
-the same exit code. `LOAD_RUNS` reads the same once-per-argv runs, and
+Every module pin reads that import log. `PROCESS_RUNS` is the one table
+of CLI processes: each row is an argv, its exit code, its exact stderr
+and the hilb modules it loads. Each row runs once as `-m hilb.cli <argv>`;
+it must load no `dataclasses`, and `cli.main` in process must print the
+same stdout and stderr and return the same exit code.
 `test_cli_output_matches_bench_goldens` pins the in-process stdout of the
 benchmark's calls byte for byte."""
 
@@ -78,15 +78,18 @@ def test_non_generic_error_is_one_class():
         ("IntersectionLattice", {"hilb", "hilb.errors", "hilb.common"}),
         ("strata_table", {"hilb", "hilb.errors", "hilb.common", "hilb.strata"}),
         ("goettsche_series", {"hilb", "hilb.errors", "hilb.common", "hilb.series"}),
+        # a layer that hilb.__getattr__ loads on first access shows in the log too
+        pytest.param(
+            "series; hilb.enumerate_partitions",
+            {"hilb", "hilb.errors", "hilb.common", "hilb.series", "hilb.partitions"},
+            id="series-enumerate_partitions",
+        ),
     ],
 )
 def test_leaf_reexport_loads_only_its_module(name, loaded):
-    probe = (
-        f"import sys, hilb; hilb.{name}; "
-        "print(*(m for m in sys.modules if m == 'hilb' or m.startswith('hilb.')))"
-    )
-    code, out, rest, _ = importtime_process("-c", probe)
-    assert (code, set(out.split()), rest) == (0, loaded, "")
+    code, out, rest, log = importtime_process("-c", f"import hilb; hilb.{name}")
+    assert (code, out, rest) == (0, "", "")
+    assert hilb_modules(log) == loaded
 
 
 @pytest.mark.parametrize(
@@ -157,7 +160,8 @@ SERIES = BASE | {"hilb.common", "hilb.series"}
 EVERY = {"hilb", *(f"hilb.{layer}" for layer in LAYERS if layer != "cli")}
 
 # Every subcommand and every refusal as a process: (argv, exit code,
-# stderr, hilb modules loaded). Exit 0 prints nothing on stderr, and in
+# stderr, hilb modules loaded). test_process_run pins the first three and
+# test_subcommand_loads_only_its_layers the modules. Exit 0 prints nothing on stderr, and in
 # json one record of argv's subcommand; the table and csv rows are the
 # benchmark's cli-oneshot calls. Exit 2 prints nothing on stdout and
 # exactly one "error: ..." line. No golden holds verify's stdout, so its
@@ -202,6 +206,9 @@ PROCESS_RUNS = [
     ("betti --space affine --n 2 --rho 1,1", 2,
      "error: non-generic one-parameter subgroup: rho=(1, 1) pairs to zero with weight (-1, 1)\n",
      CELLS),
+    ("betti --space affine --n 1 --rho 1,-2", 2,
+     "error: rho=(1, -2) does not contract the affine plane: both entries must be positive\n",
+     CELLS),
     ("betti --space p2 --n 3 --rho 0,0", 2,
      "error: non-generic one-parameter subgroup: rho=(0, 0) pairs to zero with weight (3, 0)\n",
      CELLS),
@@ -230,6 +237,8 @@ PROCESS_RUNS = [
     ("goettsche --betti 1,0,1,0,2 --torder 2", 2,
      "error: a connected surface needs b0 = b4 = 1, got (1, 0, 1, 0, 2)\n", SERIES),
     ("goettsche --betti 1,1,1,1,1 --torder 2", 2, "error: odd cohomology unsupported\n", SERIES),
+    ("goettsche --betti 1,0,99999999999999999999,0,1 --torder 1", 2,
+     "error: b2 must be at most 100000, got 99999999999999999999\n", SERIES),
     ("goettsche --betti 1,0,22,0,1 --torder 2 --compare-fixed-points", 2,
      "error: --compare-fixed-points needs the projective-plane Betti numbers 1,0,1,0,1\n",
      SERIES),
@@ -265,24 +274,16 @@ def hilb_modules(loaded) -> set:
     return {m for m in loaded if m == "hilb" or m.startswith("hilb.")}
 
 
-def test_import_log_sees_layers_the_package_root_loads():
-    # PROCESS_RUNS pins the modules the import log names, so a layer that
-    # hilb.__getattr__ loads on first access must show in that log
-    code, out, rest, loaded = importtime_process(
-        "-c", "import hilb; hilb.series; hilb.enumerate_partitions"
-    )
-    assert (code, out, rest) == (0, "", "")
-    assert hilb_modules(loaded) == SERIES | {"hilb.partitions"}
-
-
-@pytest.mark.parametrize(
+# one test id per row, its argv
+each_process_run = pytest.mark.parametrize(
     "argv, code, stderr, layers", PROCESS_RUNS, ids=[row[0] for row in PROCESS_RUNS]
 )
+
+
+@each_process_run
 def test_process_run(argv, code, stderr, layers, capsys):
-    got, out, rest, loaded = cli_process(argv)
+    got, out, rest, _ = cli_process(argv)
     assert (got, rest) == (code, stderr)
-    assert "dataclasses" not in loaded
-    assert hilb_modules(loaded) == layers
     if code:
         assert out == ""
     elif "--format json" in argv:
@@ -291,31 +292,8 @@ def test_process_run(argv, code, stderr, layers, capsys):
     assert capsys.readouterr() == (out, stderr)
 
 
-# argv (run with --format json), the hilb modules it loads and its exit
-# code, one per subcommand and per refusal of verify; an argv that is also
-# a PROCESS_RUNS row reuses that row's process
-LOAD_RUNS = [
-    ("partitions --n 3", PARTITIONS, 0),
-    ("betti --space affine --n 3", CELLS, 0),
-    ("betti --space punctual --n 3", CELLS, 0),
-    ("incidence --n 3", INCIDENCE, 0),
-    ("strata --n 3", STRATA, 0),
-    ("nakajima --n 3", LATTICE, 0),
-    ("lattice --blowup 2", LATTICE, 0),
-    ("goettsche --betti 1,0,1,0,1 --torder 2", SERIES, 0),
-    ("goettsche --betti 1,0,1,0,1 --torder 2 --compare-fixed-points", SERIES | CELLS, 0),
-    ("verify --all --nmax 2", EVERY, 0),
-    ("verify --nmax 4", BASE, 2),
-    ("verify --all --nmax 0", BASE, 2),
-]
-
-
-@pytest.mark.parametrize(
-    "argv, layers, code", LOAD_RUNS,
-    # pytest's own ids would end in the exit code; these keep "<argv>-layers<row>"
-    ids=[f"{argv}-layers{row}" for row, (argv, *_) in enumerate(LOAD_RUNS)],
-)
-def test_subcommand_loads_only_its_layers(argv, layers, code):
-    got, _, _, loaded = cli_process(f"{argv} --format json")
-    assert (got, "dataclasses" in loaded) == (code, False)
+@each_process_run
+def test_subcommand_loads_only_its_layers(argv, code, stderr, layers):
+    loaded = cli_process(argv)[3]
+    assert "dataclasses" not in loaded
     assert hilb_modules(loaded) == layers
